@@ -14,7 +14,8 @@ Package map:
 
 * :mod:`repro.core` — the cross-layer protocol (Sec. 3) and its
   optimizations (Sec. 4).
-* :mod:`repro.baselines` — ZBR / direct / epidemic comparators.
+* :mod:`repro.protocols` — the protocol registry and the comparator zoo
+  (ZBR, direct, epidemic, ...), one module per protocol.
 * :mod:`repro.des`, :mod:`repro.mobility`, :mod:`repro.radio`,
   :mod:`repro.energy`, :mod:`repro.traffic` — the simulation substrates.
 * :mod:`repro.network` — configuration and the top-level simulation.
@@ -27,8 +28,9 @@ from repro.core.params import ProtocolParameters
 from repro.core.message import DataMessage, MessageCopy
 from repro.core.queue import FtdQueue
 from repro.core.protocol import CrossLayerAgent, MacAgent, SinkAgent
-from repro.network.config import SimulationConfig, PROTOCOLS
+from repro.network.config import SimulationConfig
 from repro.network.simulation import Simulation, SimulationResult, run_simulation
+from repro.protocols.registry import PROTOCOLS
 
 __version__ = "1.0.0"
 

@@ -20,11 +20,12 @@ substrate.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
-from repro.contact.detector import Contact
+if TYPE_CHECKING:  # typing only: the kernel imports this pure-math leaf
+    from repro.contact.detector import Contact
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ compatibility surface); see ``docs/API.md`` for the deprecation policy.
 
 from __future__ import annotations
 
-from repro.checks import Finding, lint_paths, lint_source
+from repro.checks.engine import lint_paths, lint_source
+from repro.checks.rules.base import Finding
 
 __all__ = [
     "Finding",

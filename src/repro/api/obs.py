@@ -21,15 +21,15 @@ from repro.obs.export import (
     writer_for_path,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import render_report
-from repro.obs.spans import Span, SpanTracker
-from repro.radio.frames import FrameKind
-from repro.trace import (
+from repro.obs.recorder import (
     TraceRecorder,
     channel_usage,
     message_journey,
     node_activity,
 )
+from repro.obs.report import render_report
+from repro.obs.spans import Span, SpanTracker
+from repro.radio.frames import FrameKind
 
 __all__ = [
     "TelemetryBus",

@@ -21,12 +21,13 @@ from repro.mobility import (
     StationaryMobility,
     ZoneGridMobility,
 )
-from repro.network.config import PROTOCOLS, SimulationConfig
+from repro.network.config import SimulationConfig
 from repro.network.simulation import (
     Simulation,
     SimulationResult,
     run_simulation,
 )
+from repro.protocols.registry import PROTOCOLS
 from repro.traffic import BurstTraffic
 
 __all__ = [

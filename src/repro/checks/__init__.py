@@ -7,8 +7,7 @@ Three coordinated layers (see ``docs/CHECKS.md``):
   facade, serialization and layering conventions the reproduction
   relies on (:mod:`repro.checks.engine` drives it over the
   :mod:`repro.checks.project` model and the :mod:`repro.checks.rules`
-  registry; :mod:`repro.checks.lint` keeps the historical import
-  surface);
+  registry);
 * :mod:`repro.checks.invariants` — a runtime checker asserting the
   paper's protocol invariants (Eq. 1-3, queue order, buffer bounds,
   clock monotonicity, message-copy conservation) during a run;
@@ -22,7 +21,8 @@ from repro.checks.invariants import (
     check_queue_invariants,
     invariants_forced,
 )
-from repro.checks.lint import Finding, lint_paths, lint_source
+from repro.checks.engine import lint_paths, lint_source
+from repro.checks.rules.base import Finding
 from repro.checks.tolerance import THRESHOLD_EPS, tolerant_eq, tolerant_le
 
 __all__ = [

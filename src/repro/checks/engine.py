@@ -1,4 +1,4 @@
-"""The two-pass lint engine: pragmas, per-module pass, project pass, fixes.
+"""The two-pass lint engine: pragmas, per-module pass, project pass.
 
 Pass 1 (:class:`~repro.checks.project.ProjectModel`) parses every file
 under the linted paths and builds the cross-module picture; pass 2 runs
@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.checks.project import ProjectModel, is_sim_module, module_name_for
 from repro.checks.rules import NODE_RULES, PROJECT_RULES, RULES, RULES_BY_ID
-from repro.checks.rules.base import Finding, Fix, RuleContext
+from repro.checks.rules.base import Finding, RuleContext
 
 #: Matches one pragma inside a comment; the id list stops at the first
 #: token that is not a rule id, so trailing justification text
@@ -116,16 +116,16 @@ def lint_source(
     sim = is_sim_module(path) if sim_module is None else sim_module
     pragmas, unknown = parse_pragmas(source)
     context = RuleContext(path=path, module=module_name, sim=sim,
-                          source=source, model=model)
+                          model=model)
     findings: List[Finding] = list(_pragma_findings(pragmas, unknown, path))
     for rule_cls in NODE_RULES:
         if rule_cls.sim_only and not sim:
             continue
         rule = rule_cls(context)
-        for line, col, message, fix in rule.check(tree):
+        for line, col, message in rule.check(tree):
             if not _suppressed(pragmas, line, rule_cls.rule_id):
                 findings.append(Finding(path, line, col,
-                                        rule_cls.rule_id, message, fix))
+                                        rule_cls.rule_id, message))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 
@@ -204,68 +204,7 @@ def describe_rules() -> str:
     return "\n\n".join(blocks)
 
 
-# ----------------------------------------------------------------------
-# autofix
-# ----------------------------------------------------------------------
-def _offset_of(line_starts: List[int], line: int, col: int) -> int:
-    return line_starts[line - 1] + col
-
-
-def apply_fix_to_source(source: str, fixes: List[Fix]) -> Tuple[str, int]:
-    """Apply non-overlapping fixes to one source text.
-
-    Fixes are applied bottom-up so earlier spans stay valid; a fix
-    overlapping an already-applied one is skipped (it was computed
-    against pre-fix coordinates).  Returns ``(new_source, applied)``.
-    """
-    line_starts: List[int] = [0]
-    for text_line in source.splitlines(keepends=True):
-        line_starts.append(line_starts[-1] + len(text_line))
-    ordered = sorted(
-        fixes,
-        key=lambda f: (f.start_line, f.start_col, f.end_line, f.end_col),
-        reverse=True)
-    applied = 0
-    low_watermark = len(source) + 1
-    for fix in ordered:
-        try:
-            start = _offset_of(line_starts, fix.start_line, fix.start_col)
-            end = _offset_of(line_starts, fix.end_line, fix.end_col)
-        except IndexError:
-            continue
-        if not 0 <= start <= end <= len(source) or end > low_watermark:
-            continue
-        source = source[:start] + fix.replacement + source[end:]
-        low_watermark = start
-        applied += 1
-    return source, applied
-
-
-def apply_fixes(findings: Iterable[Finding]) -> Dict[str, int]:
-    """Apply every attached fix, grouped per file; returns path -> count.
-
-    Files are rewritten in place.  Call sites should re-lint afterwards:
-    one pass of fixes can unlock further findings (and their fixes), so
-    the CLI loops ``lint -> fix`` until a pass applies nothing.
-    """
-    by_path: Dict[str, List[Fix]] = {}
-    for finding in findings:
-        if finding.fix is not None:
-            by_path.setdefault(finding.path, []).append(finding.fix)
-    counts: Dict[str, int] = {}
-    for path, fixes in sorted(by_path.items()):
-        file_path = pathlib.Path(path)
-        source = file_path.read_text(encoding="utf-8")
-        new_source, applied = apply_fix_to_source(source, fixes)
-        if applied:
-            file_path.write_text(new_source, encoding="utf-8")
-            counts[path] = applied
-    return counts
-
-
 __all__ = [
-    "apply_fix_to_source",
-    "apply_fixes",
     "describe_rules",
     "iter_python_files",
     "lint_paths",

@@ -1,28 +1,12 @@
-"""Lint output formats: text, JSON, SARIF 2.1.0.
-
-``dftmsn lint --format sarif`` emits a Static Analysis Results
-Interchange Format log so CI can upload findings as a reviewable
-artifact (GitHub code scanning understands it natively).  The
-environment bakes in no JSON-Schema validator, so
-:func:`validate_sarif` is a hand-rolled structural check of the subset
-of SARIF 2.1.0 this tool produces — enough for the test suite to catch
-a malformed emitter without a network dependency.
-"""
+"""Lint output formats: text and JSON."""
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Sequence, Union
 
-from repro.checks.rules import RULES
 from repro.checks.rules.base import Finding
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json")
-_TOOL_NAME = "dftmsn-lint"
 
 
 def format_text(findings: Sequence[Finding]) -> str:
@@ -39,152 +23,10 @@ def format_json(findings: Sequence[Finding]) -> str:
             "col": finding.col,
             "rule": finding.rule,
             "message": finding.message,
-            "fixable": finding.fix is not None,
         }
         for finding in findings
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _rule_descriptor(rule_cls: Any) -> Dict[str, Any]:
-    doc = (rule_cls.__doc__ or "").strip()
-    short = doc.splitlines()[0] if doc else rule_cls.rule_id
-    return {
-        "id": rule_cls.rule_id,
-        "shortDescription": {"text": short},
-        "fullDescription": {"text": doc},
-        "defaultConfiguration": {"level": "error"},
-    }
-
-
-def to_sarif(findings: Sequence[Finding]) -> Dict[str, Any]:
-    """Build a SARIF 2.1.0 log object for ``findings``."""
-    results: List[Dict[str, Any]] = [
-        {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": pathlib.PurePath(finding.path).as_posix(),
-                        },
-                        "region": {
-                            "startLine": max(finding.line, 1),
-                            "startColumn": finding.col + 1,
-                        },
-                    },
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": _TOOL_NAME,
-                        "informationUri":
-                            "docs/CHECKS.md",
-                        "rules": [_rule_descriptor(r) for r in RULES],
-                    },
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def format_sarif(findings: Sequence[Finding]) -> str:
-    """Serialized SARIF log (see :func:`to_sarif`)."""
-    return json.dumps(to_sarif(findings), indent=2, sort_keys=True) + "\n"
-
-
-# ----------------------------------------------------------------------
-# structural validation (no jsonschema in the environment)
-# ----------------------------------------------------------------------
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"invalid SARIF: {message}")
-
-
-def _validate_message(obj: Any, where: str) -> None:
-    _require(isinstance(obj, dict) and isinstance(obj.get("text"), str),
-             f"{where} must be an object with a string 'text'")
-
-
-def _validate_result(result: Any, index: int) -> None:
-    where = f"runs[0].results[{index}]"
-    _require(isinstance(result, dict), f"{where} must be an object")
-    _require(isinstance(result.get("ruleId"), str) and result["ruleId"],
-             f"{where}.ruleId must be a non-empty string")
-    _require(result.get("level") in ("none", "note", "warning", "error"),
-             f"{where}.level must be a SARIF level")
-    _validate_message(result.get("message"), f"{where}.message")
-    locations = result.get("locations")
-    _require(isinstance(locations, list) and locations,
-             f"{where}.locations must be a non-empty array")
-    for loc_index, location in enumerate(locations):
-        loc_where = f"{where}.locations[{loc_index}]"
-        _require(isinstance(location, dict), f"{loc_where} must be an object")
-        physical = location.get("physicalLocation")
-        _require(isinstance(physical, dict),
-                 f"{loc_where}.physicalLocation must be an object")
-        artifact = physical.get("artifactLocation")
-        _require(isinstance(artifact, dict)
-                 and isinstance(artifact.get("uri"), str),
-                 f"{loc_where}: artifactLocation.uri must be a string")
-        region = physical.get("region")
-        if region is not None:
-            _require(isinstance(region, dict),
-                     f"{loc_where}.region must be an object")
-            for key in ("startLine", "startColumn", "endLine", "endColumn"):
-                if key in region:
-                    _require(isinstance(region[key], int)
-                             and region[key] >= 1,
-                             f"{loc_where}.region.{key} must be an int >= 1")
-
-
-def validate_sarif(doc: Any) -> None:
-    """Structurally validate a SARIF 2.1.0 log; raises ``ValueError``.
-
-    Covers the required shape of the subset this tool emits: version,
-    runs, tool driver with named rules, and results with rule ids,
-    levels, messages and physical locations with 1-based regions.
-    """
-    _require(isinstance(doc, dict), "log must be an object")
-    _require(doc.get("version") == SARIF_VERSION,
-             f"version must be {SARIF_VERSION!r}")
-    runs = doc.get("runs")
-    _require(isinstance(runs, list) and len(runs) >= 1,
-             "runs must be a non-empty array")
-    for run in runs:
-        _require(isinstance(run, dict), "each run must be an object")
-        tool = run.get("tool")
-        _require(isinstance(tool, dict), "run.tool must be an object")
-        driver = tool.get("driver")
-        _require(isinstance(driver, dict),
-                 "run.tool.driver must be an object")
-        _require(isinstance(driver.get("name"), str) and driver["name"],
-                 "tool.driver.name must be a non-empty string")
-        rule_ids = set()
-        for rule in driver.get("rules", []):
-            _require(isinstance(rule, dict)
-                     and isinstance(rule.get("id"), str),
-                     "each driver rule must have a string id")
-            rule_ids.add(rule["id"])
-        results = run.get("results")
-        _require(isinstance(results, list), "run.results must be an array")
-        for index, result in enumerate(results):
-            _validate_result(result, index)
-            if rule_ids:
-                _require(result["ruleId"] in rule_ids,
-                         f"results[{index}].ruleId {result['ruleId']!r} "
-                         "not declared by the tool driver")
 
 
 def write_output(text: str, output: Union[str, pathlib.Path, None]) -> None:
@@ -198,12 +40,7 @@ def write_output(text: str, output: Union[str, pathlib.Path, None]) -> None:
 
 
 __all__ = [
-    "SARIF_SCHEMA_URI",
-    "SARIF_VERSION",
     "format_json",
-    "format_sarif",
     "format_text",
-    "to_sarif",
-    "validate_sarif",
     "write_output",
 ]

@@ -15,7 +15,6 @@ from typing import Dict, Tuple, Type, Union
 from repro.checks.rules.base import (
     FaultScopeRule,
     Finding,
-    Fix,
     ProjectRule,
     Rule,
     RuleContext,
@@ -68,7 +67,7 @@ RULES: Tuple[Union[Type[Rule], Type[ProjectRule]], ...] = (
     NODE_RULES + PROJECT_RULES
 )
 
-#: Rule id -> rule class, for pragma validation and SARIF metadata.
+#: Rule id -> rule class, for pragma validation.
 RULES_BY_ID: Dict[str, Union[Type[Rule], Type[ProjectRule]]] = {
     rule.rule_id: rule for rule in RULES
 }
@@ -83,7 +82,6 @@ __all__ = [
     "Det003",
     "FaultScopeRule",
     "Finding",
-    "Fix",
     "Flt001",
     "LAYER_CONTRACTS",
     "Mut001",

@@ -1,4 +1,4 @@
-"""Shared plumbing of the lint rules: findings, fixes, rule bases.
+"""Shared plumbing of the lint rules: findings and rule bases.
 
 Two rule shapes exist (see ``docs/CHECKS.md``):
 
@@ -11,10 +11,6 @@ Two rule shapes exist (see ``docs/CHECKS.md``):
   against the pass-1 model (facade consistency, layering contracts,
   serialization completeness).  It returns full :class:`Finding`
   objects because one rule may report into many files.
-
-A rule that knows how to mechanically repair a finding attaches a
-:class:`Fix` (a source span replacement); the engine applies fixes via
-:func:`repro.checks.engine.apply_fixes` (CLI ``dftmsn lint --fix``).
 """
 
 from __future__ import annotations
@@ -28,22 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class Fix:
-    """A mechanical source edit: replace one span with new text.
-
-    Coordinates are 1-based lines and 0-based columns, matching the
-    ``ast`` node attributes they are lifted from.  The span is
-    ``[start, end)`` in character terms.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-
-@dataclass(frozen=True)
 class Finding:
     """One lint violation at a source location."""
 
@@ -52,8 +32,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: Mechanical repair, when the rule knows one (``dftmsn lint --fix``).
-    fix: Optional[Fix] = None
 
     def format(self) -> str:
         """``path:line:col: RULE message`` (editor-clickable)."""
@@ -73,14 +51,12 @@ class RuleContext:
     module: Optional[str] = None
     #: Whether the module carries the deterministic-simulation contract.
     sim: bool = False
-    #: The module's source text (enables source-segment fixes).
-    source: str = ""
     #: Pass-1 project model, when linting a whole tree (else ``None``).
     model: Optional["ProjectModel"] = None
 
 
-#: One raw per-module violation: (line, col, message, fix-or-None).
-RawFinding = Tuple[int, int, str, Optional[Fix]]
+#: One raw per-module violation: (line, col, message).
+RawFinding = Tuple[int, int, str]
 
 
 class Rule(ast.NodeVisitor):
@@ -102,27 +78,17 @@ class Rule(ast.NodeVisitor):
         self.context = context if context is not None else RuleContext()
         self.found: List[RawFinding] = []
 
-    def report(self, node: ast.AST, message: str,
-               fix: Optional[Fix] = None) -> None:
+    def report(self, node: ast.AST, message: str) -> None:
         """Record one violation at ``node``'s location."""
         self.found.append(
             (getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-             message, fix))
+             message))
 
     def check(self, tree: ast.AST) -> List[RawFinding]:
         """Run this rule over a parsed module."""
         self.found = []
         self.visit(tree)
         return self.found
-
-    # ------------------------------------------------------------------
-    # source helpers (for fixes)
-    # ------------------------------------------------------------------
-    def source_segment(self, node: ast.AST) -> Optional[str]:
-        """The exact source text of ``node``, when the context has it."""
-        if not self.context.source:
-            return None
-        return ast.get_source_segment(self.context.source, node)  # type: ignore[arg-type]
 
 
 class ProjectRule:

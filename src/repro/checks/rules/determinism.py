@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.checks.rules.base import (
-    Fix,
     Rule,
     attr_call,
     terminal_name,
@@ -108,8 +107,6 @@ class Det003(Rule):
     ``for`` loop or comprehension whose iterable is a ``set(...)`` /
     ``frozenset(...)`` call, a set literal or comprehension, or a set
     expression combined with the ``- & | ^`` operators.
-
-    Autofix: wraps the offending iterable in ``sorted(...)``.
     """
 
     rule_id = "DET003"
@@ -126,21 +123,10 @@ class Det003(Rule):
             return self._is_set_expr(node.left) or self._is_set_expr(node.right)
         return False
 
-    def _sorted_fix(self, iterable: ast.expr) -> Optional[Fix]:
-        segment = self.source_segment(iterable)
-        end_line = getattr(iterable, "end_lineno", None)
-        end_col = getattr(iterable, "end_col_offset", None)
-        if segment is None or end_line is None or end_col is None:
-            return None
-        return Fix(start_line=iterable.lineno, start_col=iterable.col_offset,
-                   end_line=end_line, end_col=end_col,
-                   replacement=f"sorted({segment})")
-
     def _check_iter(self, node: ast.AST, iterable: ast.expr) -> None:
         if self._is_set_expr(iterable):
             self.report(node, "iteration over an unordered set in "
-                              "simulation code; iterate sorted(...) instead",
-                        fix=self._sorted_fix(iterable))
+                              "simulation code; iterate sorted(...) instead")
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iter(node, node.iter)

@@ -20,17 +20,18 @@ LAYER_CONTRACTS: Dict[str, Tuple[str, ...]] = {
     "repro.core": ("repro.harness", "repro.analysis"),
     "repro.des": ("repro.harness", "repro.analysis"),
     "repro.obs": (
-        "repro.core", "repro.des", "repro.network", "repro.baselines",
+        "repro.core", "repro.des", "repro.network", "repro.protocols",
         "repro.contact", "repro.radio", "repro.traffic", "repro.mobility",
-        "repro.energy", "repro.metrics", "repro.trace", "repro.harness",
+        "repro.energy", "repro.metrics", "repro.scenario", "repro.harness",
         "repro.analysis",
     ),
     # The scenario layer sits between mobility/contact/network and the
     # harness: it may build configs (registry) but must never reach up
     # into experiment drivers or analysis.
     "repro.scenario": ("repro.harness", "repro.analysis", "repro.api"),
-    # The protocol registry aggregates agent/policy implementations
-    # (core, baselines, contact) for the layers above it; reaching up
+    # The protocol package holds every protocol's agent and policy (one
+    # module per protocol, built on core, radio and the contact policy
+    # base) plus the registry the layers above it consult; reaching up
     # into the harness, analysis, or facade would close a cycle with
     # every registry consumer.
     "repro.protocols": ("repro.harness", "repro.analysis", "repro.api"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.checks.rules.base import Fix, Rule, terminal_name
+from repro.checks.rules.base import Rule, terminal_name
 
 
 def _is_busish_name(name: Optional[str]) -> bool:
@@ -87,9 +87,6 @@ class Obs001(Rule):
     ``_bus`` / ``*_bus``.  Binding a fresh ``TelemetryBus()`` counts as
     a guard (it is provably not None), and a re-assignment of a guarded
     local invalidates its guard.
-
-    Autofix: wraps a standalone unguarded ``bus.emit(...)`` statement in
-    ``if <bus> is not None:``.
     """
 
     rule_id = "OBS001"
@@ -185,11 +182,10 @@ class Obs001(Rule):
             child for child in ast.iter_child_nodes(stmt)
             if isinstance(child, ast.expr)
         ]
-        self._check_exprs(exprs, guarded, enclosing=stmt)
+        self._check_exprs(exprs, guarded)
 
     def _check_exprs(self, exprs: Iterable[Optional[ast.expr]],
-                     guarded: Set[str],
-                     enclosing: Optional[ast.stmt] = None) -> None:
+                     guarded: Set[str]) -> None:
         for expr in exprs:
             if expr is None:
                 continue
@@ -203,40 +199,8 @@ class Obs001(Rule):
                 key = _bus_key(func.value)
                 if key is None or key in guarded:
                     continue
-                fix = self._guard_fix(node, func.value, enclosing)
                 self.report(
                     node,
                     f"{key}.emit(...) without a dominating "
                     f"'{key} is None' guard; telemetry-off runs would "
-                    "crash here (docs/OBSERVABILITY.md)",
-                    fix=fix)
-
-    # ------------------------------------------------------------------
-    # autofix: wrap the statement in an if-guard
-    # ------------------------------------------------------------------
-    def _guard_fix(self, call: ast.Call, receiver: ast.expr,
-                   enclosing: Optional[ast.stmt]) -> Optional[Fix]:
-        if (enclosing is None or not isinstance(enclosing, ast.Expr)
-                or enclosing.value is not call or not self.context.source):
-            return None
-        end_line = getattr(enclosing, "end_lineno", None)
-        end_col = getattr(enclosing, "end_col_offset", None)
-        receiver_src = self.source_segment(receiver)
-        if end_line is None or end_col is None or receiver_src is None:
-            return None
-        lines = self.context.source.splitlines()
-        first = lines[enclosing.lineno - 1][enclosing.col_offset:]
-        if enclosing.end_lineno == enclosing.lineno:
-            first = lines[enclosing.lineno - 1][enclosing.col_offset:end_col]
-            rest: List[str] = []
-        else:
-            rest = lines[enclosing.lineno:end_line - 1]
-            rest.append(lines[end_line - 1][:end_col])
-        indent = " " * enclosing.col_offset
-        pieces = [f"if {receiver_src} is not None:",
-                  f"{indent}    {first}"]
-        pieces.extend(f"    {line}" for line in rest)
-        return Fix(start_line=enclosing.lineno,
-                   start_col=enclosing.col_offset,
-                   end_line=end_line, end_col=end_col,
-                   replacement="\n".join(pieces))
+                    "crash here (docs/OBSERVABILITY.md)")

@@ -10,29 +10,18 @@ scheme), and it is fast enough for very large parameter sweeps.
 
 Uses: upper-bound comparisons (how much does MAC contention cost?),
 policy prototyping, and cross-validation of the packet-level stack
-(orderings of protocols must agree between the two simulators).
+(orderings of protocols must agree between the two simulators).  The
+concrete policies live with their protocols in :mod:`repro.protocols`.
 """
 
 from repro.contact.detector import ContactTracer, Contact
-from repro.contact.policies import (
-    ContactPolicy,
-    FadPolicy,
-    DirectPolicy,
-    EpidemicPolicy,
-    ZbrHistoryPolicy,
-    SprayAndWaitPolicy,
-)
+from repro.contact.policies import ContactPolicy
 from repro.contact.simulator import ContactSimulation, ContactSimConfig
 
 __all__ = [
     "ContactTracer",
     "Contact",
     "ContactPolicy",
-    "FadPolicy",
-    "DirectPolicy",
-    "EpidemicPolicy",
-    "ZbrHistoryPolicy",
-    "SprayAndWaitPolicy",
     "ContactSimulation",
     "ContactSimConfig",
 ]

@@ -8,9 +8,8 @@ contact trace for analysis) or drive the contact-level simulator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.mobility.manager import MobilityManager
 from repro.obs.bus import TelemetryBus
@@ -39,29 +38,14 @@ class Contact:
 class ContactTracer:
     """Walks mobility forward and reports contact starts/ends.
 
-    The supported event path is :meth:`subscribe`, which publishes
+    Events reach listeners through :meth:`subscribe`, which publishes
     :class:`~repro.obs.events.ContactStart` / ``ContactEnd`` on a
-    telemetry bus.  The legacy ``on_contact_start(a, b, t)`` /
-    ``on_contact_end(a, b, t_start, t)`` constructor callbacks still
-    fire but are deprecated.  :meth:`run` returns the list of completed
-    contacts (open contacts are closed at the horizon).
+    telemetry bus.  :meth:`run` returns the list of completed contacts
+    (open contacts are closed at the horizon).
     """
 
-    def __init__(
-        self,
-        mobility: MobilityManager,
-        on_contact_start: Optional[Callable[[int, int, float], None]] = None,
-        on_contact_end: Optional[Callable[[int, int, float, float], None]] = None,
-    ) -> None:
-        if on_contact_start is not None or on_contact_end is not None:
-            warnings.warn(
-                "ContactTracer constructor callbacks are deprecated; "
-                "use ContactTracer.subscribe(bus) and listen on the "
-                "contact.start / contact.end topics",
-                DeprecationWarning, stacklevel=2)
+    def __init__(self, mobility: MobilityManager) -> None:
         self._mobility = mobility
-        self._on_start = on_contact_start
-        self._on_end = on_contact_end
         self._bus: Optional[TelemetryBus] = None
         # Open contacts keyed by the (a, b) pair with a < b; tuples sort
         # directly, so the scan needs no per-pair re-sorting.
@@ -98,8 +82,6 @@ class ContactTracer:
             a, b = pair
             if bus is not None:
                 bus.emit(ContactStart(time=now, a=a, b=b))
-            if self._on_start is not None:
-                self._on_start(a, b, now)
         for pair in changed:
             if pair in current:
                 continue
@@ -108,8 +90,6 @@ class ContactTracer:
             self.contacts.append(Contact(a, b, started, now))
             if bus is not None:
                 bus.emit(ContactEnd(time=now, a=a, b=b, started=started))
-            if self._on_end is not None:
-                self._on_end(a, b, started, now)
 
     def run(self, duration: float, tick: float = 1.0) -> List[Contact]:
         """Advance mobility to ``duration`` and return completed contacts."""
@@ -133,8 +113,6 @@ class ContactTracer:
             self.contacts.append(Contact(a, b, started, now))
             if bus is not None:
                 bus.emit(ContactEnd(time=now, a=a, b=b, started=started))
-            if self._on_end is not None:
-                self._on_end(a, b, started, now)
         self._active.clear()
 
 

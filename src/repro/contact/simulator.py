@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple
 
 from repro.contact.detector import Contact, ContactTracer
 from repro.contact.policies import ContactPolicy
@@ -40,29 +40,9 @@ from repro.mobility.zone import ZoneGridMobility
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import ContactEnd, ContactStart, TelemetryEvent
 from repro.obs.export import writer_for_path
+from repro.protocols.registry import contact_policy_names, get_protocol
 from repro.scenario.plan import ContactPlan, load_contact_plan, parse_contact_plan
 from repro.scenario.spec import ScenarioSpec
-
-
-def _contact_policies() -> Mapping[str, Type[ContactPolicy]]:
-    """The live policy table of the :mod:`repro.protocols` registry.
-
-    Resolved lazily: registering the built-in zoo imports
-    :mod:`repro.contact.policies`, which initializes this package, so a
-    module-level import of ``repro.protocols`` here would cycle
-    (docs/PROTOCOLS.md).
-    """
-    from repro.protocols import CONTACT_POLICIES
-    return CONTACT_POLICIES
-
-
-def __getattr__(name: str) -> object:
-    # Back-compat: CONTACT_POLICIES has always been importable from this
-    # module; it is now a live view of the repro.protocols registry, the
-    # single source of truth for protocol dispatch at both levels.
-    if name == "CONTACT_POLICIES":
-        return _contact_policies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +78,9 @@ class ContactSimConfig:
     scenario: Optional[ScenarioSpec] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in _contact_policies():
+        if self.policy not in contact_policy_names():
             raise ValueError(f"unknown policy {self.policy!r}; "
-                             f"choose from {sorted(_contact_policies())}")
+                             f"choose from {sorted(contact_policy_names())}")
         if self.duration_s <= 0 or self.tick_s <= 0:
             raise ValueError("duration and tick must be positive")
         if not 0.0 < self.mac_efficiency <= 1.0:
@@ -231,7 +211,8 @@ class ContactSimulation:
             self._tracer = ContactTracer(self.mobility)
             self._tracer.subscribe(self.bus)
             self.bus.subscribe(ContactEnd.topic, self._on_contact_end_event)
-        policy_cls = _contact_policies()[config.policy]
+        policy_cls = get_protocol(config.policy).policy_class
+        assert policy_cls is not None  # ContactSimConfig validated the name
         self.policies: Dict[int, ContactPolicy] = {}
         for nid in sink_ids:
             self.policies[nid] = policy_cls(nid, capacity=config.queue_capacity,

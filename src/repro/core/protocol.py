@@ -6,7 +6,7 @@ CTS collection) and the *synchronous phase* (SCHEDULE, DATA multicast,
 slotted ACKs) — plus periodic sleeping, NAV and the neighbor table.  The
 forwarding *policy* is factored into overridable hooks so that the
 fault-tolerance-based protocol (:class:`CrossLayerAgent`) and the
-baselines (ZBR, direct, epidemic in :mod:`repro.baselines`) share one
+baselines (ZBR, direct, epidemic, ... in :mod:`repro.protocols`) share one
 verified MAC.
 
 Timeline of one successful cycle (Fig. 1 of the paper)::

@@ -25,10 +25,14 @@ from typing import Dict, List, Optional
 from repro.harness.registry import EXPERIMENTS
 from repro.harness.runner import runner_for_workers
 from repro.harness.serialize import Checkpoint
-from repro.network.config import PROTOCOLS, SimulationConfig
+from repro.network.config import SimulationConfig
 from repro.network.faults import FAULT_KINDS
 from repro.network.simulation import run_simulation
-from repro.protocols import contact_policy_names, names_tagged
+from repro.protocols.registry import (
+    contact_policy_names,
+    names_tagged,
+    packet_protocol_names,
+)
 
 
 def _worker_count(text: str) -> int:
@@ -79,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "run into DIR; inspect with 'dftmsn report'")
 
     single_p = sub.add_parser("single", help="run one simulation")
-    single_p.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    single_p.add_argument("--protocol",
+                          choices=sorted(packet_protocol_names()),
                           default="opt")
     single_p.add_argument("--sinks", type=int, default=3)
     single_p.add_argument("--sensors", type=int, default=100)
@@ -148,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "contact; 'both' also prints the gap)")
     scenario_p.add_argument("--policy", default="fad",
                             help="contact-level policy (default: fad)")
-    scenario_p.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    scenario_p.add_argument("--protocol",
+                            choices=sorted(packet_protocol_names()),
                             default="opt",
                             help="packet-level protocol (default: opt)")
     scenario_p.add_argument("--duration", type=float, default=None,
@@ -214,20 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: src/repro)")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print every rule's documentation and exit")
-    lint_p.add_argument("--format", choices=("text", "json", "sarif"),
+    lint_p.add_argument("--format", choices=("text", "json"),
                         default="text", dest="format",
                         help="findings output format (default: text)")
     lint_p.add_argument("--output", metavar="PATH", default=None,
                         help="write findings to PATH instead of stdout")
-    lint_p.add_argument("--baseline", metavar="FILE", default=None,
-                        help="subtract the accepted findings in FILE; "
-                             "exit 1 only on findings not in it")
-    lint_p.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="record the current findings as the new "
-                             "baseline FILE and exit 0")
-    lint_p.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (sorted() wraps, "
-                             "telemetry guards) and re-lint until stable")
     return parser
 
 
@@ -239,52 +236,19 @@ def _cmd_list() -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.checks.baseline import Baseline
-    from repro.checks.engine import apply_fixes, describe_rules, lint_paths
-    from repro.checks.output import (
-        format_json,
-        format_sarif,
-        format_text,
-        write_output,
-    )
+    from repro.checks.engine import describe_rules, lint_paths
+    from repro.checks.output import format_json, format_text, write_output
 
     if args.list_rules:
         print(describe_rules())
         return 0
     findings = lint_paths(args.paths)
-    if args.fix:
-        # One pass of fixes can unlock further findings (and fixes), so
-        # loop lint -> fix until a pass applies nothing (bounded: each
-        # pass must strictly shrink the fixable set).
-        for _ in range(5):
-            counts = apply_fixes(findings)
-            if not counts:
-                break
-            for path, applied in sorted(counts.items()):
-                print(f"fixed {applied} finding(s) in {path}",
-                      file=sys.stderr)
-            findings = lint_paths(args.paths)
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(f"baseline with {len(findings)} finding(s) written to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-    reported = findings
-    if args.baseline:
-        baseline = Baseline.load(args.baseline)
-        reported = baseline.filter(findings)
-        absorbed = len(findings) - len(reported)
-        if absorbed:
-            print(f"({absorbed} baselined finding(s) suppressed)",
-                  file=sys.stderr)
     if args.format == "json":
-        write_output(format_json(reported), args.output)
-    elif args.format == "sarif":
-        write_output(format_sarif(reported), args.output)
-    elif reported or args.output:
-        write_output(format_text(reported), args.output)
-    if reported:
-        print(f"{len(reported)} finding(s)", file=sys.stderr)
+        write_output(format_json(findings), args.output)
+    elif findings or args.output:
+        write_output(format_text(findings), args.output)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
 
@@ -372,10 +336,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print(f"invalid --intensities: {args.intensities!r}", file=sys.stderr)
         return 2
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    unknown = [p for p in protocols if p not in PROTOCOLS]
+    unknown = [p for p in protocols if p not in packet_protocol_names()]
     if unknown:
         print(f"unknown protocols: {', '.join(unknown)} "
-              f"(choose from {', '.join(sorted(PROTOCOLS))})", file=sys.stderr)
+              f"(choose from {', '.join(sorted(packet_protocol_names()))})",
+              file=sys.stderr)
         return 2
     spec = FaultSpec(kind=args.kind, mean_downtime_s=args.mean_downtime,
                      purge_buffer=not args.no_purge,

@@ -10,7 +10,7 @@ names what to run (a packet-level or contact-level config), a
 * :class:`ProcessPoolRunner` — ``concurrent.futures`` worker processes,
   one job per worker at a time.  Configs cross the process boundary as
   plain dicts (``to_dict``/``from_dict``; the agent class is re-resolved
-  from the ``PROTOCOLS`` table by name, never pickled) and results come
+  from the protocol registry by name, never pickled) and results come
   back the same way, so both runners produce *identical* result objects
   for identical seeds.
 
@@ -86,7 +86,7 @@ class JobKind(NamedTuple):
 
 
 #: Job kind name -> codec + execution functions.  Module-level so worker
-#: processes resolve kinds by name after import, exactly like PROTOCOLS.
+#: processes resolve kinds by name after import, exactly like protocols.
 JOB_KINDS: Dict[str, JobKind] = {
     "packet": JobKind(
         encode_config=lambda cfg: cfg.to_dict(),

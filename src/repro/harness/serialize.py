@@ -7,7 +7,7 @@ run description and run outcome needs an exact plain-data round trip:
 * :class:`~repro.network.config.SimulationConfig` /
   :class:`~repro.core.params.ProtocolParameters` carry their own
   ``to_dict``/``from_dict`` (the agent class is re-resolved from the
-  ``PROTOCOLS`` table by name — it is never pickled);
+  protocol registry by name — it is never pickled);
 * :func:`result_to_dict` / :func:`result_from_dict` round-trip a full
   :class:`~repro.network.simulation.SimulationResult` (unlike
   ``SimulationResult.to_dict``, which is a flat summary view);

@@ -7,17 +7,15 @@ power.  Used by the convergence/warm-up analyses and the trace examples
 (the headline Fig. 2 metrics are end-of-run scalars; these series show
 *how* the protocol gets there).
 
-The attached probe is a telemetry-bus subscriber: it tallies the
+The probe is a telemetry-bus subscriber: it tallies the
 ``message.generated`` / ``message.delivered`` topics instead of reaching
-into the collector.  The legacy ``TimeSeriesProbe(sim)`` + ``arm()``
-construction still works but is deprecated.
+into the collector.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import MessageDelivered, MessageGenerated, TelemetryEvent
@@ -44,49 +42,41 @@ class Sample:
 class TimeSeriesProbe:
     """Samples a packet-level simulation every ``period_s``.
 
-    Construct via :meth:`attach`; direct ``TimeSeriesProbe(sim)``
-    construction is the deprecated legacy path.
+    Build with :meth:`attach`, which subscribes the probe to the
+    simulation's telemetry bus and arms periodic sampling.
     """
 
     def __init__(self, sim: "Simulation", period_s: float = 250.0, *,
-                 _via_attach: bool = False) -> None:
-        if not _via_attach:
-            warnings.warn(
-                "TimeSeriesProbe(sim) + arm() is deprecated; use "
-                "TimeSeriesProbe.attach(sim) instead",
-                DeprecationWarning, stacklevel=2)
+                 bus: TelemetryBus) -> None:
         if period_s <= 0:
             raise ValueError("period must be positive")
         self.sim = sim
         self.period_s = period_s
         self.samples: List[Sample] = []
         self._armed = False
-        self._bus: Optional[TelemetryBus] = None
-        self._bus_generated = 0
-        self._bus_delivered = 0
+        # The tallies mirror the collector exactly (the collector emits
+        # once per generation / fresh delivery).
+        self._generated = 0
+        self._delivered = 0
+        bus.subscribe(MessageGenerated.topic, self._on_generated)
+        bus.subscribe(MessageDelivered.topic, self._on_delivered)
 
     @classmethod
     def attach(cls, sim: "Simulation",
                period_s: float = 250.0) -> "TimeSeriesProbe":
         """Build a bus-backed probe on ``sim`` and arm it (call before
         ``sim.run()``)."""
-        probe = cls(sim, period_s, _via_attach=True)
-        probe._subscribe(sim.enable_telemetry())
+        probe = cls(sim, period_s, bus=sim.enable_telemetry())
         probe.arm()
         return probe
 
-    def _subscribe(self, bus: TelemetryBus) -> None:
-        self._bus = bus
-        bus.subscribe(MessageGenerated.topic, self._on_generated)
-        bus.subscribe(MessageDelivered.topic, self._on_delivered)
-
     def _on_generated(self, event: TelemetryEvent) -> None:
         assert isinstance(event, MessageGenerated)
-        self._bus_generated += 1
+        self._generated += 1
 
     def _on_delivered(self, event: TelemetryEvent) -> None:
         assert isinstance(event, MessageDelivered)
-        self._bus_delivered += 1
+        self._delivered += 1
 
     def arm(self) -> None:
         """Schedule periodic sampling (call before ``sim.run()``)."""
@@ -111,15 +101,8 @@ class TimeSeriesProbe:
             1 for s in sensors if not s.radio.state.awake
         )
         power = [s.radio.meter.average_power_mw(now) for s in sensors]
-        if self._bus is not None:
-            # Bus-backed: the tallies mirror the collector exactly (the
-            # collector emits once per generation / fresh delivery).
-            generated = self._bus_generated
-            delivered = self._bus_delivered
-        else:
-            collector = sim.collector
-            generated = collector.messages_generated
-            delivered = collector.messages_delivered
+        generated = self._generated
+        delivered = self._delivered
         return Sample(
             time=now,
             generated=generated,

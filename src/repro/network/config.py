@@ -15,11 +15,7 @@ from typing import Dict, Optional, Tuple, Type
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import MacAgent
 from repro.network.faults import FaultSpec
-# PROTOCOLS is re-exported here for back-compat: it has always been
-# importable as repro.network.config.PROTOCOLS (and through repro /
-# repro.network / repro.api.sim).  It is now a live view of the
-# repro.protocols registry, the single source of truth.
-from repro.protocols import PROTOCOLS, get_protocol, packet_protocol_names
+from repro.protocols.registry import get_protocol, packet_protocol_names
 from repro.scenario.spec import ScenarioSpec
 
 
@@ -112,7 +108,7 @@ class SimulationConfig:
             if not isinstance(spec, FaultSpec):
                 raise ValueError(f"faults entries must be FaultSpec, "
                                  f"got {spec!r}")
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in packet_protocol_names():
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {sorted(packet_protocol_names())}"
@@ -192,7 +188,7 @@ class SimulationConfig:
         """Lossless plain-data view (for JSON / cross-process dispatch).
 
         The agent class is never serialized: it is re-derived from the
-        ``protocol`` name via :data:`PROTOCOLS` on the other side, so a
+        ``protocol`` name via the protocol registry on the other side, so a
         config dict stays valid across processes and interpreter runs.
         ``params`` overrides (when present) are nested as their own dict.
         """

@@ -14,6 +14,9 @@ The observability story in one place (see docs/OBSERVABILITY.md):
   (asynchronous handshake, synchronous SCHEDULE→ACK round, sleep
   interval) with durations in simulated time.
 * :mod:`~repro.obs.export` — JSONL / CSV trace writers and loaders.
+* :class:`~repro.obs.recorder.TraceRecorder` — a bounded in-memory ring
+  of frame events plus the message-journey / node-activity /
+  channel-usage reports over it.
 * :mod:`~repro.obs.report` — the tables behind ``dftmsn report``.
 
 This package is a leaf: it never imports the simulation layers, so any

@@ -1,17 +1,24 @@
 """Protocol registry and zoo — the single source of truth for protocol
 dispatch across both simulators (see docs/PROTOCOLS.md).
 
-The registry names (:func:`register`, :func:`get_protocol`, the live
-:data:`PROTOCOLS` / :data:`CONTACT_POLICIES` views) are bound *before*
-the built-in zoo imports, because registering the zoo pulls in
-:mod:`repro.contact`, whose simulator imports this package back while
-it is still initializing — the registry half must already be complete
-at that point.
+Each protocol lives in one module that holds both its packet-level
+agent and its contact-level policy (``zbr.py``, ``direct.py``, ...);
+importing this package registers the built-in zoo
+(:mod:`repro.protocols.builtin`).  The paper's own cross-layer agent
+stays in :mod:`repro.core.protocol`.
 """
 
+import repro.protocols.builtin  # registers the zoo
 from repro.protocols.descriptor import ProtocolDescriptor, QUEUE_DISCIPLINES
+from repro.protocols.direct import DirectAgent, DirectPolicy
+from repro.protocols.epidemic import EpidemicAgent, EpidemicPolicy
+from repro.protocols.fad import FadPolicy
+from repro.protocols.meeting_rate import (
+    MeetingRateAgent,
+    MeetingRatePolicy,
+    SinkMeetingRateEstimator,
+)
 from repro.protocols.registry import (
-    CONTACT_POLICIES,
     PROTOCOLS,
     contact_policy_names,
     crossval_pairs,
@@ -22,26 +29,27 @@ from repro.protocols.registry import (
     register,
     unregister,
 )
-
-# Importing the zoo must stay below the registry imports (see above).
-import repro.protocols.builtin  # noqa: E402,F401  (registers the zoo)
-from repro.protocols.meeting_rate import (  # noqa: E402
-    MeetingRateAgent,
-    MeetingRatePolicy,
-    SinkMeetingRateEstimator,
-)
-from repro.protocols.two_hop import TwoHopAgent, TwoHopPolicy  # noqa: E402
+from repro.protocols.spray import SprayAndWaitPolicy
+from repro.protocols.two_hop import TwoHopAgent, TwoHopPolicy
+from repro.protocols.zbr import ZbrAgent, ZbrHistoryPolicy
 
 __all__ = [
-    "CONTACT_POLICIES",
+    "DirectAgent",
+    "DirectPolicy",
+    "EpidemicAgent",
+    "EpidemicPolicy",
+    "FadPolicy",
     "MeetingRateAgent",
     "MeetingRatePolicy",
     "PROTOCOLS",
     "ProtocolDescriptor",
     "QUEUE_DISCIPLINES",
     "SinkMeetingRateEstimator",
+    "SprayAndWaitPolicy",
     "TwoHopAgent",
     "TwoHopPolicy",
+    "ZbrAgent",
+    "ZbrHistoryPolicy",
     "contact_policy_names",
     "crossval_pairs",
     "get_protocol",

@@ -9,22 +9,17 @@ backends.
 
 from __future__ import annotations
 
-from repro.baselines.direct import DirectAgent
-from repro.baselines.epidemic import EpidemicAgent
-from repro.baselines.zbr import ZbrAgent
-from repro.contact.policies import (
-    DirectPolicy,
-    EpidemicPolicy,
-    FadPolicy,
-    SprayAndWaitPolicy,
-    ZbrHistoryPolicy,
-)
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import CrossLayerAgent
 from repro.protocols.descriptor import ProtocolDescriptor
+from repro.protocols.direct import DirectAgent, DirectPolicy
+from repro.protocols.epidemic import EpidemicAgent, EpidemicPolicy
+from repro.protocols.fad import FadPolicy
 from repro.protocols.meeting_rate import MeetingRateAgent, MeetingRatePolicy
 from repro.protocols.registry import register
+from repro.protocols.spray import SprayAndWaitPolicy
 from repro.protocols.two_hop import TwoHopAgent, TwoHopPolicy
+from repro.protocols.zbr import ZbrAgent, ZbrHistoryPolicy
 
 register(ProtocolDescriptor(
     name="opt",

@@ -6,11 +6,9 @@ runs it at the packet level, which
 :class:`~repro.contact.policies.ContactPolicy` runs it at the contact
 level, the default :class:`~repro.core.params.ProtocolParameters`
 preset, the queue discipline, and the explicit cross-level pairing the
-crossval study uses.  Everything that used to be a scattered literal
-(the old ``network.config.PROTOCOLS`` table, ``_FIFO_PROTOCOLS``
-frozenset, ``contact.simulator.CONTACT_POLICIES`` dict, hard-coded CLI
-defaults and the hand-written crossval pairing dict) is now derived
-from these records via :mod:`repro.protocols.registry`.
+crossval study uses.  Protocol tables, queue disciplines, CLI defaults
+and the crossval pairing are all derived from these records via
+:mod:`repro.protocols.registry`.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ class ProtocolDescriptor:
       presets, whose differences are MAC/sleep optimizations the ideal
       contact level cannot express).
     * ``params`` — default parameter preset for packet-level runs.
-    * ``queue_discipline`` — ``"ftd"`` or ``"fifo"`` (replaces the old
-      ``_FIFO_PROTOCOLS`` frozenset).
+    * ``queue_discipline`` — ``"ftd"`` or ``"fifo"``.
     * ``contact_pairing`` — name of the contact-level protocol the
       crossval study matches this packet-level protocol against, or
       ``None`` to keep it out of the crossval table.

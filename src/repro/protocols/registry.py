@@ -9,10 +9,8 @@ REG001 enforces this); they ask the registry:
 * :func:`names_tagged` — harness membership (``"fig2"``,
   ``"fault-campaign"``);
 * :func:`crossval_pairs` — the packet-to-contact pairing table;
-* :data:`PROTOCOLS` / :data:`CONTACT_POLICIES` — live read-through
-  mapping views kept for back-compat with the historical
-  ``network.config.PROTOCOLS`` / ``contact.simulator.CONTACT_POLICIES``
-  dicts.
+* :data:`PROTOCOLS` — the live ``name -> (agent class, preset)`` view
+  behind the ``repro.PROTOCOLS`` / ``repro.api.PROTOCOLS`` facade name.
 
 The built-in zoo registers itself when :mod:`repro.protocols` is
 imported (see :mod:`repro.protocols.builtin`); :func:`register` is also
@@ -29,8 +27,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Tuple, Type
 from repro.core.params import ProtocolParameters
 from repro.protocols.descriptor import ProtocolDescriptor
 
-if TYPE_CHECKING:  # runtime imports would cycle through repro.contact
-    from repro.contact.policies import ContactPolicy
+if TYPE_CHECKING:  # typing only: the registry stays import-light
     from repro.core.protocol import MacAgent
 
 _REGISTRY: Dict[str, ProtocolDescriptor] = {}
@@ -110,8 +107,7 @@ class _PacketProtocolTable(
         Mapping[str, Tuple[Type["MacAgent"], ProtocolParameters]]):
     """Live ``name -> (agent class, preset)`` view of the registry.
 
-    Back-compat shape of the old ``network.config.PROTOCOLS`` dict;
-    contact-only protocols are not visible through it.
+    Contact-only protocols are not visible through it.
     """
 
     def __getitem__(
@@ -131,32 +127,7 @@ class _PacketProtocolTable(
         return f"PROTOCOLS({', '.join(packet_protocol_names())})"
 
 
-class _ContactPolicyTable(Mapping[str, Type["ContactPolicy"]]):
-    """Live ``name -> policy class`` view of the registry.
-
-    Back-compat shape of the old ``contact.simulator.CONTACT_POLICIES``
-    dict; packet-only protocols are not visible through it.
-    """
-
-    def __getitem__(self, name: str) -> Type["ContactPolicy"]:
-        descriptor = _REGISTRY.get(name)
-        if descriptor is None or descriptor.policy_class is None:
-            raise KeyError(name)
-        return descriptor.policy_class
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(contact_policy_names())
-
-    def __len__(self) -> int:
-        return len(contact_policy_names())
-
-    def __repr__(self) -> str:
-        return f"CONTACT_POLICIES({', '.join(contact_policy_names())})"
-
-
 #: Protocol name -> (agent class, default parameter preset), live.
 PROTOCOLS: Mapping[str, Tuple[Type["MacAgent"], ProtocolParameters]] = (
     _PacketProtocolTable())
 
-#: Policy name -> contact-level policy class, live.
-CONTACT_POLICIES: Mapping[str, Type["ContactPolicy"]] = _ContactPolicyTable()

@@ -4,9 +4,6 @@ import random
 
 import pytest
 
-from repro.baselines.direct import DirectAgent
-from repro.baselines.epidemic import EpidemicAgent
-from repro.baselines.zbr import ZbrAgent
 from repro.core.message import DataMessage, MessageCopy
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import CrossLayerAgent, SinkAgent
@@ -15,6 +12,9 @@ from repro.core.selection import Candidate
 from repro.des import EventScheduler
 from repro.energy import BERKELEY_MOTE
 from repro.mobility import Area, MobilityManager, StationaryMobility
+from repro.protocols.direct import DirectAgent
+from repro.protocols.epidemic import EpidemicAgent
+from repro.protocols.zbr import ZbrAgent
 from repro.radio import ChannelTiming, Transceiver, WirelessMedium
 from repro.radio.frames import Rts
 

@@ -1,4 +1,4 @@
-"""Unit tests for the determinism / float-safety lint (repro.checks.lint).
+"""Unit tests for the determinism / float-safety lint (repro.checks.engine).
 
 Every rule gets at least one known-bad fixture proving it fires and one
 known-good fixture proving it stays quiet, plus pragma-suppression and
@@ -8,13 +8,9 @@ acceptance criterion CI enforces via ``dftmsn lint src/repro``).
 
 import pathlib
 
-from repro.checks.lint import (
-    RULES,
-    describe_rules,
-    is_sim_module,
-    lint_paths,
-    lint_source,
-)
+from repro.checks.engine import describe_rules, lint_paths, lint_source
+from repro.checks.project import is_sim_module
+from repro.checks.rules import RULES
 from repro.harness.cli import main as cli_main
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -69,7 +65,7 @@ class TestDet002:
         assert is_sim_module("src/repro/network/simulation.py")
         assert is_sim_module("src/repro/network/faults.py")
         assert not is_sim_module("src/repro/harness/cli.py")
-        assert not is_sim_module("src/repro/checks/lint.py")
+        assert not is_sim_module("src/repro/checks/engine.py")
 
     def test_individually_enrolled_modules(self):
         # harness/faults.py carries the campaign determinism guarantee

@@ -9,6 +9,8 @@ from repro.contact.detector import contact_statistics
 from repro.des import EventScheduler
 from repro.mobility import Area, MobilityManager, StationaryMobility
 from repro.mobility.base import MobilityModel
+from repro.obs.bus import TelemetryBus
+from repro.obs.events import ContactEnd, ContactStart
 
 
 class Shuttle(MobilityModel):
@@ -67,8 +69,12 @@ class TestTracer:
     def test_callbacks_fire(self):
         events = []
         tracer, mgr = build_shuttle([(3, 5.0), (7, 100.0)])
-        tracer._on_start = lambda a, b, t: events.append(("start", a, b, t))
-        tracer._on_end = lambda a, b, s, t: events.append(("end", a, b, s, t))
+        bus = TelemetryBus()
+        bus.subscribe(ContactStart.topic, lambda e: events.append(
+            ("start", e.a, e.b, e.time)))
+        bus.subscribe(ContactEnd.topic, lambda e: events.append(
+            ("end", e.a, e.b, e.started, e.time)))
+        tracer.subscribe(bus)
         tracer.run(20.0, tick=1.0)
         assert ("start", 0, 1, 3.0) in events
         assert ("end", 0, 1, 3.0, 7.0) in events

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.contact.policies import (
-    DirectPolicy,
-    EpidemicPolicy,
-    FadPolicy,
-    LazyXiEstimator,
-    SprayAndWaitPolicy,
-    ZbrHistoryPolicy,
-)
+from repro.contact.policies import LazyXiEstimator
 from repro.core.message import DataMessage
+from repro.protocols.direct import DirectPolicy
+from repro.protocols.epidemic import EpidemicPolicy
+from repro.protocols.fad import FadPolicy
+from repro.protocols.spray import SprayAndWaitPolicy
+from repro.protocols.zbr import ZbrHistoryPolicy
 
 
 def msg(mid, origin=5, t=0.0):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.contact import ContactSimConfig
-from repro.contact.simulator import CONTACT_POLICIES, ContactSimulation, run_contact_simulation
+from repro.contact.simulator import ContactSimulation, run_contact_simulation
+from repro.protocols.registry import contact_policy_names
 
 
 SHORT = dict(duration_s=600.0, n_sensors=25, n_sinks=2, seed=11)
@@ -29,7 +30,7 @@ class TestConfig:
 
 class TestRuns:
     def test_every_policy_runs(self):
-        for policy in CONTACT_POLICIES:
+        for policy in contact_policy_names():
             r = run_contact_simulation(ContactSimConfig(policy=policy,
                                                         **SHORT))
             assert r.messages_generated > 0, policy

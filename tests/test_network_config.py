@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.baselines import DirectAgent, EpidemicAgent, ZbrAgent
 from repro.core.protocol import CrossLayerAgent
-from repro.network import PROTOCOLS, SimulationConfig
+from repro.network import SimulationConfig
+from repro.protocols.direct import DirectAgent
+from repro.protocols.epidemic import EpidemicAgent
+from repro.protocols.registry import packet_protocol_names
+from repro.protocols.zbr import ZbrAgent
 
 
 class TestDefaults:
@@ -33,7 +36,7 @@ class TestDefaults:
 class TestProtocolTable:
     def test_all_fig2_protocols_present(self):
         for name in ("opt", "noopt", "nosleep", "zbr"):
-            assert name in PROTOCOLS
+            assert name in packet_protocol_names()
 
     def test_agent_classes(self):
         assert SimulationConfig(protocol="opt").agent_class is CrossLayerAgent

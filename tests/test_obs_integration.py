@@ -1,4 +1,4 @@
-"""Integration tests: telemetry in real simulations, CLI, shims, golden.
+"""Integration tests: telemetry in real simulations, CLI, golden.
 
 The central acceptance property lives here: enabling telemetry (bus,
 metrics, spans, trace export) must not change a seeded run's results
@@ -19,7 +19,7 @@ from repro.network.config import SimulationConfig
 from repro.network.simulation import Simulation, run_simulation
 from repro.obs.export import read_trace
 from repro.obs.report import render_report
-from repro.trace import TraceRecorder
+from repro.obs.recorder import TraceRecorder
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -99,20 +99,22 @@ class TestRunTraces:
 
 
 # ----------------------------------------------------------------------
-# legacy hook shims
+# bus-only observation: the pre-bus calling conventions are gone
 # ----------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_trace_recorder_sim_path_warns_but_works(self):
+    """The deprecated pre-bus shims are gone; their calls now fail."""
+
+    def test_trace_recorder_requires_a_bus(self):
         sim = Simulation(SimulationConfig(**SMOKE))
-        with pytest.deprecated_call():
-            recorder = TraceRecorder(sim)
-        recorder.install()
+        with pytest.raises(TypeError):
+            TraceRecorder(sim)
+        recorder = TraceRecorder(bus=sim.enable_telemetry())
         sim.run()
         assert len(recorder) > 0
 
-    def test_timeseries_probe_legacy_construction_warns(self):
+    def test_timeseries_probe_requires_a_bus(self):
         sim = Simulation(SimulationConfig(**SMOKE))
-        with pytest.deprecated_call():
+        with pytest.raises(TypeError):
             TimeSeriesProbe(sim, period_s=100.0)
 
     def test_timeseries_attach_is_warning_free(self, recwarn):
@@ -124,15 +126,15 @@ class TestDeprecationShims:
         assert len(probe.samples) > 0
         assert probe.samples[-1].generated == sim.collector.messages_generated
 
-    def test_contact_tracer_callback_kwargs_warn(self):
+    def test_contact_tracer_rejects_callback_kwargs(self):
         area = Area(50, 50)
         model = StationaryMobility([0, 1], area,
                                    positions=[(1.0, 1.0), (2.0, 2.0)])
         mgr = MobilityManager(EventScheduler(), area, [model],
                               comm_range=10.0)
-        with pytest.deprecated_call():
+        with pytest.raises(TypeError):
             ContactTracer(mgr, on_contact_start=lambda a, b, t: None)
-        with pytest.deprecated_call():
+        with pytest.raises(TypeError):
             ContactTracer(mgr, on_contact_end=lambda a, b, t0, t1: None)
 
 

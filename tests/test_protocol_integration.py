@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.baselines import DirectAgent, EpidemicAgent, ZbrAgent
 from repro.core.message import DataMessage, fresh_message_id
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import AgentState, CrossLayerAgent, SinkAgent
@@ -14,6 +13,9 @@ from repro.des import EventScheduler
 from repro.energy import BERKELEY_MOTE
 from repro.metrics import MetricsCollector
 from repro.mobility import Area, MobilityManager, StationaryMobility
+from repro.protocols.direct import DirectAgent
+from repro.protocols.epidemic import EpidemicAgent
+from repro.protocols.zbr import ZbrAgent
 from repro.radio import ChannelTiming, Transceiver, WirelessMedium
 from repro.radio.states import RadioState
 

@@ -2,21 +2,19 @@
 
 The registry is the single source of truth for protocol dispatch at
 both simulation levels; these tests pin its lookup/validation behavior,
-the descriptor invariants, the live back-compat mapping views, and the
+the descriptor invariants, the live ``PROTOCOLS`` facade view, and the
 construction-time name validation in both simulator configs.
 """
 
 import pytest
 
-from repro.baselines.direct import DirectAgent
-from repro.contact.policies import DirectPolicy
-from repro.contact.simulator import CONTACT_POLICIES as SIM_CONTACT_POLICIES
+import repro
+import repro.api
+import repro.api.sim
 from repro.contact.simulator import ContactSimConfig
 from repro.core.params import ProtocolParameters
-from repro.network.config import PROTOCOLS as CONFIG_PROTOCOLS
 from repro.network.config import SimulationConfig
 from repro.protocols import (
-    CONTACT_POLICIES,
     PROTOCOLS,
     ProtocolDescriptor,
     contact_policy_names,
@@ -28,6 +26,7 @@ from repro.protocols import (
     register,
     unregister,
 )
+from repro.protocols.direct import DirectAgent, DirectPolicy
 
 
 def _descriptor(name="dummy", **overrides):
@@ -82,14 +81,22 @@ class TestRegisterUnregister:
             assert "dummy" in PROTOCOLS
             assert PROTOCOLS["dummy"] == (DirectAgent,
                                           get_protocol("dummy").params)
-            assert CONTACT_POLICIES["dummy"] is DirectPolicy
-            # The historical dict homes are live views of the registry.
-            assert "dummy" in CONFIG_PROTOCOLS
-            assert "dummy" in SIM_CONTACT_POLICIES
+            assert get_protocol("dummy").policy_class is DirectPolicy
+            # Both simulator configs validate against the live registry.
+            assert "dummy" in packet_protocol_names()
+            assert "dummy" in contact_policy_names()
+            config = SimulationConfig(protocol="dummy")
+            assert config.agent_class is DirectAgent
+            assert ContactSimConfig(policy="dummy").policy == "dummy"
         finally:
             unregister("dummy")
         assert "dummy" not in protocol_names()
         assert "dummy" not in PROTOCOLS
+
+    def test_facade_protocols_is_the_registry_view(self):
+        assert repro.PROTOCOLS is PROTOCOLS
+        assert repro.api.PROTOCOLS is PROTOCOLS
+        assert repro.api.sim.PROTOCOLS is PROTOCOLS
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

@@ -24,8 +24,9 @@ from repro.harness.serialize import (
     result_to_dict,
     run_key,
 )
-from repro.network.config import PROTOCOLS, SimulationConfig
+from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
+from repro.protocols.registry import get_protocol, packet_protocol_names
 
 TINY = SimulationConfig(protocol="opt", duration_s=100.0,
                         n_sensors=8, n_sinks=2, seed=7)
@@ -41,9 +42,9 @@ class TestProtocolParameters:
         params = getattr(ProtocolParameters, preset)()
         assert ProtocolParameters.from_dict(params.to_dict()) == params
 
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", sorted(packet_protocol_names()))
     def test_protocol_table_round_trip(self, protocol):
-        params = PROTOCOLS[protocol][1]
+        params = get_protocol(protocol).params
         assert ProtocolParameters.from_dict(
             _via_json(params.to_dict())) == params
 
@@ -73,7 +74,7 @@ class TestProtocolParameters:
 
 
 class TestSimulationConfig:
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", sorted(packet_protocol_names()))
     def test_every_protocol_round_trips(self, protocol):
         config = SimulationConfig(protocol=protocol, seed=11,
                                   duration_s=500.0)
@@ -87,7 +88,7 @@ class TestSimulationConfig:
         rebuilt = SimulationConfig.from_dict(_via_json(config.to_dict()))
         assert rebuilt == config
         assert rebuilt.params.alpha == 0.42
-        # The agent class is re-resolved from PROTOCOLS, never encoded.
+        # The agent class is re-resolved from the registry, never encoded.
         assert "agent_class" not in config.to_dict()
         assert rebuilt.agent_class is config.agent_class
 
@@ -97,7 +98,7 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="n_drones"):
             SimulationConfig.from_dict(data)
 
-    @given(protocol=st.sampled_from(sorted(PROTOCOLS)),
+    @given(protocol=st.sampled_from(sorted(packet_protocol_names())),
            seed=st.integers(min_value=0, max_value=2 ** 63),
            n_sensors=st.integers(min_value=1, max_value=300),
            n_sinks=st.integers(min_value=1, max_value=10),
