@@ -16,7 +16,10 @@ _message_ids: Iterator[int] = itertools.count()
 
 
 def fresh_message_id() -> int:
-    """Globally unique message id (per process)."""
+    """Process-wide unique message id, for messages built by hand.
+
+    Simulations number their own messages from a per-run counter.
+    """
     return next(_message_ids)
 
 
