@@ -26,8 +26,8 @@ import pytest
 
 from repro.harness.bench import (
     load_scale_report,
+    measure_scale,
     run_scale_suite,
-    scale_config,
     write_scale_report,
 )
 
@@ -79,11 +79,13 @@ def test_throughput_grows_superlinearly_vs_quadratic(ladder):
 
 
 def test_ladder_is_deterministic(ladder):
-    """Event counts are a pure function of the seeded config."""
-    for point in ladder:
-        again = scale_config(point.n_sensors, point.duration_s, seed=1)
-        assert again.n_sensors == point.n_sensors
-        assert point.events_fired > 0
+    """Event and delivery counts are a pure function of the seeded
+    config: re-running the smallest point reproduces them exactly."""
+    point = ladder[0]
+    again = measure_scale(point.n_sensors, point.duration_s, seed=1)
+    assert point.events_fired > 0
+    assert again.events_fired == point.events_fired
+    assert again.messages_delivered == point.messages_delivered
 
 
 def test_no_regression_vs_committed_report(ladder):

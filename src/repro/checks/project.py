@@ -2,12 +2,11 @@
 
 The original lint inspected one AST node at a time, which cannot see
 *cross-module* conventions — the ``repro.api`` facade surface, the
-``FaultModel`` class family, layering contracts, serialization
-completeness.  :class:`ProjectModel` is the shared first pass: it parses
+``FaultModel`` class family, layering contracts.  :class:`ProjectModel` is the shared first pass: it parses
 every file once and builds
 
 * a per-module symbol table (:attr:`ModuleInfo.symbols`) and class
-  inventory with base names, decorators and dataclass fields;
+  inventory with base names;
 * the import graph (absolute and relative imports resolved to dotted
   module names, edges narrowed to modules in the model);
 * the ``__all__`` export surface per module, with a resolver that chases
@@ -89,30 +88,17 @@ class ImportRecord:
 
 @dataclass
 class ClassInfo:
-    """One class definition: bases, decorators, dataclass fields."""
+    """One class definition and its bases."""
 
     name: str
     lineno: int
     #: Dotted base expressions (``FaultModel``, ``abc.ABC``).
     bases: Tuple[str, ...]
-    #: Terminal decorator names (``dataclass``, ``classmethod``).
-    decorators: Tuple[str, ...]
-    #: Annotated field names in body order, ``ClassVar`` excluded.
-    fields: Tuple[str, ...]
-    #: Annotated names typed ``ClassVar[...]``.
-    classvars: Tuple[str, ...]
-    #: Method name -> function AST (for rules inspecting bodies).
-    methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
 
     @property
     def base_terminals(self) -> Tuple[str, ...]:
         """Rightmost identifier of each base expression."""
         return tuple(b.rsplit(".", 1)[-1] for b in self.bases)
-
-    @property
-    def is_dataclass(self) -> bool:
-        """Whether a ``dataclass`` decorator is present."""
-        return "dataclass" in self.decorators
 
 
 @dataclass
@@ -163,33 +149,10 @@ def _resolve_relative(package: str, level: int, module: Optional[str]) -> str:
     return ".".join(parts)
 
 
-def _is_classvar(annotation: ast.AST) -> bool:
-    name = _dotted(annotation if not isinstance(annotation, ast.Subscript)
-                   else annotation.value)
-    return name is not None and name.rsplit(".", 1)[-1] == "ClassVar"
-
-
 def _collect_class(node: ast.ClassDef) -> ClassInfo:
     bases = tuple(b for b in (_dotted(base) for base in node.bases)
                   if b is not None)
-    decorators = tuple(
-        d.rsplit(".", 1)[-1]
-        for d in (_dotted(dec) for dec in node.decorator_list)
-        if d is not None)
-    fields_: List[str] = []
-    classvars: List[str] = []
-    methods: Dict[str, ast.FunctionDef] = {}
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            if _is_classvar(stmt.annotation):
-                classvars.append(stmt.target.id)
-            else:
-                fields_.append(stmt.target.id)
-        elif isinstance(stmt, ast.FunctionDef):
-            methods[stmt.name] = stmt
-    return ClassInfo(name=node.name, lineno=node.lineno, bases=bases,
-                     decorators=decorators, fields=tuple(fields_),
-                     classvars=tuple(classvars), methods=methods)
+    return ClassInfo(name=node.name, lineno=node.lineno, bases=bases)
 
 
 def _collect_exports(stmt: ast.stmt) -> Optional[Tuple[str, ...]]:
@@ -348,15 +311,6 @@ class ProjectModel:
         known.discard(base)
         self._subclass_cache[base] = known
         return known
-
-    def find_classes(self, name: str) -> List[Tuple[ModuleInfo, ClassInfo]]:
-        """All definitions of a class called ``name`` across the model."""
-        out: List[Tuple[ModuleInfo, ClassInfo]] = []
-        for info in self.modules():
-            cls_info = info.classes.get(name)
-            if cls_info is not None:
-                out.append((info, cls_info))
-        return out
 
     # ------------------------------------------------------------------
     # export / re-export resolution

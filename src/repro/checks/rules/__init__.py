@@ -26,7 +26,6 @@ from repro.checks.rules.layering import Arch001, LAYER_CONTRACTS
 from repro.checks.rules.mutables import Mut001
 from repro.checks.rules.registry import Reg001
 from repro.checks.rules.scheduling import Sch001
-from repro.checks.rules.serialization import SERIALIZED_CLASSES, Ser001
 from repro.checks.rules.substreams import Sub001
 from repro.checks.rules.telemetry import Obs001
 
@@ -59,7 +58,7 @@ NODE_RULES: Tuple[Type[Rule], ...] = (
 
 #: Whole-project rules, in reporting order.
 PROJECT_RULES: Tuple[Type[ProjectRule], ...] = (
-    Api001, Api002, Api003, Ser001, Arch001,
+    Api001, Api002, Api003, Arch001,
 )
 
 #: The full registry (``--list-rules``, docs, back-compat ``RULES``).
@@ -95,8 +94,6 @@ __all__ = [
     "Reg001",
     "Rule",
     "RuleContext",
-    "SERIALIZED_CLASSES",
     "Sch001",
-    "Ser001",
     "Sub001",
 ]

@@ -7,12 +7,14 @@ not (see DESIGN.md, "Semantics the paper leaves open").
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
+
+from repro.codec import PlainData
 
 
 @dataclass(frozen=True)
-class ProtocolParameters:
+class ProtocolParameters(PlainData):
     """Tunable constants of the cross-layer protocol.
 
     Attributes mirror the paper's symbols:
@@ -175,28 +177,6 @@ class ProtocolParameters:
             raise ValueError("meeting-rate horizon must be positive")
         if self.meeting_rate_min_gap_s < 0:
             raise ValueError("meeting-rate dedup gap cannot be negative")
-
-    # ------------------------------------------------------------------
-    # serialization (lossless; used for cross-process dispatch and
-    # checkpoint files — see repro.harness.serialize)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data view; ``from_dict`` round-trips it losslessly."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ProtocolParameters":
-        """Rebuild parameters from :meth:`to_dict` output.
-
-        Unknown keys are rejected so stale checkpoints fail loudly
-        instead of silently dropping a renamed parameter.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ProtocolParameters fields: {sorted(unknown)}")
-        return cls(**data)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # presets used in the paper's evaluation (Sec. 5)

@@ -18,6 +18,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.codec import from_plain, to_plain
 from repro.harness.runner import Job, Runner, RunFailure, SerialRunner
 from repro.harness.serialize import Checkpoint
 from repro.metrics.stats import mean_confidence_interval, summarize
@@ -124,11 +125,9 @@ class AggregateResult:
 
     def to_dict(self) -> Dict[str, object]:
         """Lossless plain-data view (config + every replicate result)."""
-        from repro.harness.serialize import result_to_dict
-
         return {
             "config": self.config.to_dict(),
-            "replicates": [result_to_dict(r) for r in self.replicates],
+            "replicates": [to_plain(r) for r in self.replicates],
             "failures": [
                 {"error_type": f.error_type, "error": f.error,
                  "traceback": f.traceback,
@@ -145,8 +144,6 @@ class AggregateResult:
         exception object is gone, so they are rebuilt as
         :class:`RunFailure` entries around the failing config).
         """
-        from repro.harness.serialize import result_from_dict
-
         failures = []
         for f in data.get("failures", []):  # type: ignore[union-attr]
             cfg = SimulationConfig.from_dict(f["config"])
@@ -155,7 +152,7 @@ class AggregateResult:
                 error=f["error"], traceback=f["traceback"]))
         return cls(
             config=SimulationConfig.from_dict(data["config"]),  # type: ignore[arg-type]
-            replicates=[result_from_dict(r)
+            replicates=[from_plain(SimulationResult, r)
                         for r in data["replicates"]],  # type: ignore[union-attr]
             failures=failures,
         )

@@ -9,10 +9,10 @@ names what to run (a packet-level or contact-level config), a
   identical to the historical behavior).
 * :class:`ProcessPoolRunner` — ``concurrent.futures`` worker processes,
   one job per worker at a time.  Configs cross the process boundary as
-  plain dicts (``to_dict``/``from_dict``; the agent class is re-resolved
-  from the protocol registry by name, never pickled) and results come
-  back the same way, so both runners produce *identical* result objects
-  for identical seeds.
+  plain dicts (:mod:`repro.codec`; the agent class is re-resolved from
+  the protocol registry by name, never pickled) and results come back
+  the same way, so both runners produce *identical* result objects for
+  identical seeds.
 
 Guarantees shared by all runners:
 
@@ -37,11 +37,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
-from repro.contact.simulator import ContactSimConfig, run_contact_simulation
-from repro.harness import serialize
+from repro.codec import from_plain, to_plain
+from repro.contact.simulator import (
+    ContactSimConfig,
+    ContactSimResult,
+    run_contact_simulation,
+)
 from repro.harness.serialize import Checkpoint, run_key
 from repro.network.config import SimulationConfig
-from repro.network.simulation import run_simulation
+from repro.network.simulation import SimulationResult, run_simulation
 
 Progress = Optional[Callable[[str], None]]
 
@@ -76,39 +80,29 @@ RunOutcome = Union[object, RunFailure]
 
 
 class JobKind(NamedTuple):
-    """How to serialize, execute and deserialize one kind of job."""
+    """The config type, simulator and result type of one kind of job.
 
-    encode_config: Callable[[object], Dict[str, object]]
-    decode_config: Callable[[Dict[str, object]], object]
+    Both types cross process and disk boundaries through
+    :mod:`repro.codec`.
+    """
+
+    config_cls: type
     run: Callable[[object], object]
-    encode_result: Callable[[object], Dict[str, object]]
-    decode_result: Callable[[Dict[str, object]], object]
+    result_cls: type
 
 
-#: Job kind name -> codec + execution functions.  Module-level so worker
+#: Job kind name -> types + execution function.  Module-level so worker
 #: processes resolve kinds by name after import, exactly like protocols.
 JOB_KINDS: Dict[str, JobKind] = {
-    "packet": JobKind(
-        encode_config=lambda cfg: cfg.to_dict(),
-        decode_config=SimulationConfig.from_dict,
-        run=run_simulation,
-        encode_result=serialize.result_to_dict,
-        decode_result=serialize.result_from_dict,
-    ),
-    "contact": JobKind(
-        encode_config=serialize.contact_config_to_dict,
-        decode_config=serialize.contact_config_from_dict,
-        run=run_contact_simulation,
-        encode_result=serialize.contact_result_to_dict,
-        decode_result=serialize.contact_result_from_dict,
-    ),
+    "packet": JobKind(SimulationConfig, run_simulation, SimulationResult),
+    "contact": JobKind(ContactSimConfig, run_contact_simulation,
+                       ContactSimResult),
 }
 
 
 def job_key(job: Job) -> str:
     """Stable checkpoint key of one job (kind + full config hash)."""
-    kind = JOB_KINDS[job.kind]
-    return run_key(job.kind, kind.encode_config(job.config))
+    return run_key(job.kind, to_plain(job.config))
 
 
 def _describe(job: Job) -> str:
@@ -130,8 +124,8 @@ def _pool_worker(kind_name: str, payload: Dict[str, object]) -> Dict[str, object
     """
     kind = JOB_KINDS[kind_name]
     try:
-        result = kind.run(kind.decode_config(payload))
-        return {"ok": True, "result": kind.encode_result(result)}
+        result = kind.run(from_plain(kind.config_cls, payload))
+        return {"ok": True, "result": to_plain(result)}
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
         return {"ok": False, "error_type": type(exc).__name__,
                 "error": str(exc), "traceback": _traceback.format_exc()}
@@ -170,7 +164,7 @@ class SerialRunner(Runner):
             key = job_key(job)
             cached = checkpoint.get(key) if checkpoint is not None else None
             if cached is not None:
-                outcome: RunOutcome = kind.decode_result(cached)
+                outcome: RunOutcome = from_plain(kind.result_cls, cached)
                 note = "cached"
             else:
                 try:
@@ -180,8 +174,7 @@ class SerialRunner(Runner):
                     note = "FAILED"
                 else:
                     if checkpoint is not None:
-                        checkpoint.put(key, job.kind,
-                                       kind.encode_result(result))
+                        checkpoint.put(key, job.kind, to_plain(result))
                     outcome = result
                     note = "ok"
             if progress is not None:
@@ -220,7 +213,8 @@ class ProcessPoolRunner(Runner):
             cached = (checkpoint.get(job_key(job))
                       if checkpoint is not None else None)
             if cached is not None:
-                outcomes[i] = JOB_KINDS[job.kind].decode_result(cached)
+                outcomes[i] = from_plain(JOB_KINDS[job.kind].result_cls,
+                                         cached)
                 done += 1
                 if progress is not None:
                     progress(f"  completed {done}/{total} "
@@ -235,9 +229,8 @@ class ProcessPoolRunner(Runner):
             future_index = {}
             for i in pending:
                 job = jobs[i]
-                kind = JOB_KINDS[job.kind]
                 fut = pool.submit(_pool_worker, job.kind,
-                                  kind.encode_config(job.config))
+                                  to_plain(job.config))
                 future_index[fut] = i
             not_done = set(future_index)
             while not_done:
@@ -253,7 +246,8 @@ class ProcessPoolRunner(Runner):
                         if checkpoint is not None:
                             checkpoint.put(job_key(job), job.kind,
                                            result_dict)
-                        outcomes[i] = kind.decode_result(result_dict)
+                        outcomes[i] = from_plain(kind.result_cls,
+                                                 result_dict)
                         note = "ok"
                     else:
                         outcomes[i] = RunFailure(
@@ -302,7 +296,7 @@ class TracingRunner(Runner):
         config = job.config
         # Key on the config *before* the trace path is added, so the
         # file name does not depend on where the traces land.
-        key = run_key(job.kind, JOB_KINDS[job.kind].encode_config(config))[:16]
+        key = run_key(job.kind, to_plain(config))[:16]
         path = str(self.trace_dir / f"{key}.jsonl")
         if job.kind == "packet":
             assert isinstance(config, SimulationConfig)

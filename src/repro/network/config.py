@@ -9,9 +9,10 @@ Berkeley-mote power, 25 000 s per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple, Type
 
+from repro.codec import PlainData, require_finite
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import MacAgent
 from repro.network.faults import FaultSpec
@@ -20,8 +21,14 @@ from repro.scenario.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Everything needed to build and run one simulation."""
+class SimulationConfig(PlainData):
+    """Everything needed to build and run one simulation.
+
+    ``to_dict``/``from_dict`` (:mod:`repro.codec`) give the lossless
+    plain-data form that crosses process boundaries and checkpoints.
+    The agent class is never serialized: it is re-derived from
+    ``protocol`` through the protocol registry on the other side.
+    """
 
     protocol: str = "opt"
     seed: int = 1
@@ -101,6 +108,7 @@ class SimulationConfig:
     params: Optional[ProtocolParameters] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         # Normalize faults to a tuple (JSON round trips yield lists).
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
@@ -113,14 +121,10 @@ class SimulationConfig:
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {sorted(packet_protocol_names())}"
             )
-        # Normalize the scenario (JSON round trips yield plain dicts).
         if self.scenario is not None and not isinstance(self.scenario,
                                                         ScenarioSpec):
-            if not isinstance(self.scenario, dict):
-                raise ValueError(f"scenario must be a ScenarioSpec, "
-                                 f"got {self.scenario!r}")
-            object.__setattr__(self, "scenario",
-                               ScenarioSpec.from_dict(self.scenario))
+            raise ValueError(f"scenario must be a ScenarioSpec, "
+                             f"got {self.scenario!r}")
         if self.mobility_model not in ("zone", "walk", "waypoint", "levy",
                                        "plan"):
             raise ValueError(f"unknown mobility model {self.mobility_model!r}")
@@ -143,6 +147,10 @@ class SimulationConfig:
             raise ValueError("geometry must be positive")
         if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
             raise ValueError("invalid speed range")
+        if not 0.0 <= self.exit_probability <= 1.0:
+            raise ValueError("exit_probability must be in [0, 1]")
+        if self.mobility_tick_s <= 0:
+            raise ValueError("mobility tick must be positive")
         if self.mean_arrival_s <= 0:
             raise ValueError("mean arrival interval must be positive")
         if self.queue_capacity < 1:
@@ -180,52 +188,6 @@ class SimulationConfig:
     def with_seed(self, seed: int) -> "SimulationConfig":
         """A copy of this configuration with a different seed."""
         return replace(self, seed=seed)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless plain-data view (for JSON / cross-process dispatch).
-
-        The agent class is never serialized: it is re-derived from the
-        ``protocol`` name via the protocol registry on the other side, so a
-        config dict stays valid across processes and interpreter runs.
-        ``params`` overrides (when present) are nested as their own dict.
-        """
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "params":
-                value = None if value is None else value.to_dict()
-            elif f.name == "faults":
-                value = [spec.to_dict() for spec in value]
-            elif f.name == "scenario":
-                value = None if value is None else value.to_dict()
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimulationConfig":
-        """Rebuild a config from :meth:`to_dict` output (lossless)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown SimulationConfig fields: {sorted(unknown)}")
-        payload = dict(data)
-        params = payload.get("params")
-        if params is not None and not isinstance(params, ProtocolParameters):
-            payload["params"] = ProtocolParameters.from_dict(params)  # type: ignore[arg-type]
-        faults = payload.get("faults")
-        if faults:
-            payload["faults"] = tuple(
-                spec if isinstance(spec, FaultSpec) else FaultSpec.from_dict(spec)
-                for spec in faults  # type: ignore[union-attr]
-            )
-        scenario = payload.get("scenario")
-        if scenario is not None and not isinstance(scenario, ScenarioSpec):
-            payload["scenario"] = ScenarioSpec.from_dict(scenario)  # type: ignore[arg-type]
-        return cls(**payload)  # type: ignore[arg-type]
 
     @property
     def sink_ids(self) -> range:

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import (
-    Any, ClassVar, Dict, List, Optional, Tuple, Type, TYPE_CHECKING,
+    ClassVar, Dict, List, Optional, Tuple, Type, TYPE_CHECKING,
 )
 
+from repro.codec import PlainData
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import FaultInject, FaultRecover
 
@@ -54,7 +55,7 @@ FAULT_PRIORITY = -5
 # serializable fault description
 # ======================================================================
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(PlainData):
     """Plain-data description of one fault model instance.
 
     ``kind`` selects the model; ``intensity`` is the model's severity
@@ -99,22 +100,6 @@ class FaultSpec:
     def scaled(self, intensity: float) -> "FaultSpec":
         """This spec at a different ``intensity`` (campaign sweeps)."""
         return replace(self, intensity=intensity)
-
-    # ------------------------------------------------------------------
-    # serialization (rides inside SimulationConfig.to_dict)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless plain-data view."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FaultSpec fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 # ======================================================================

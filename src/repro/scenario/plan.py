@@ -24,9 +24,12 @@ The parsed :class:`ContactPlan` drives two consumers (docs/SCENARIOS.md):
 
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+from repro.codec import PlainData, from_plain
 
 __all__ = [
     "ContactPlan",
@@ -57,7 +60,7 @@ class ContactPlanError(ValueError):
 
 
 @dataclass(frozen=True)
-class PlannedContact:
+class PlannedContact(PlainData):
     """One scheduled communication window between two nodes.
 
     Endpoints are stored normalized (``a < b``); the window is treated as
@@ -77,22 +80,9 @@ class PlannedContact:
         """Seconds the window stays open (0 for degenerate windows)."""
         return self.end - self.start
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data view (lossless)."""
-        return {"a": self.a, "b": self.b, "start": self.start,
-                "end": self.end, "rate_bps": self.rate_bps}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PlannedContact":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(a=int(data["a"]), b=int(data["b"]),  # type: ignore[arg-type]
-                   start=float(data["start"]),  # type: ignore[arg-type]
-                   end=float(data["end"]),  # type: ignore[arg-type]
-                   rate_bps=float(data["rate_bps"]))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
-class ContactPlan:
+class ContactPlan(PlainData):
     """A validated, sorted schedule of planned contacts."""
 
     contacts: Tuple[PlannedContact, ...]
@@ -125,16 +115,10 @@ class ContactPlan:
                  f"{c.rate_bps:g}" for c in self.contacts]
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data view (lossless)."""
-        return {"contacts": [c.to_dict() for c in self.contacts]}
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ContactPlan":
+    def from_dict(cls, data: Mapping[str, Any]) -> "ContactPlan":
         """Rebuild from :meth:`to_dict` output (re-validated)."""
-        contacts = [PlannedContact.from_dict(c)
-                    for c in data.get("contacts", [])]  # type: ignore[union-attr]
-        return _build_plan(contacts, lines=None)
+        return _build_plan(list(from_plain(cls, data).contacts), lines=None)
 
 
 def _parse_time(token: str, line_no: int, text: str) -> float:
@@ -145,6 +129,8 @@ def _parse_time(token: str, line_no: int, text: str) -> float:
     except ValueError:
         raise ContactPlanError(f"bad time {token!r} (want seconds)",
                                line_no, text) from None
+    if not math.isfinite(value):
+        raise ContactPlanError(f"non-finite time {token!r}", line_no, text)
     if value < 0:
         raise ContactPlanError(f"negative time {token!r}", line_no, text)
     return value
@@ -234,9 +220,9 @@ def parse_contact_plan(text: str) -> ContactPlan:
             raise ContactPlanError(
                 f"bad rate {tokens[6]!r} (want bits per second)",
                 line_no, raw.rstrip()) from None
-        if rate <= 0:
+        if not (math.isfinite(rate) and rate > 0):
             raise ContactPlanError(
-                f"rate must be positive, got {rate:g}", line_no,
+                f"rate must be positive and finite, got {rate:g}", line_no,
                 raw.rstrip())
         a, b = sorted((node_from, node_to))
         contacts.append(PlannedContact(a=a, b=b, start=start, end=end,

@@ -10,14 +10,16 @@ named presets live in :mod:`repro.scenario.registry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.codec import PlainData
 
 __all__ = ["ScenarioSpec"]
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(PlainData):
     """One named deployment scenario (topology + mobility + traffic)."""
 
     name: str
@@ -62,16 +64,3 @@ class ScenarioSpec:
             raise ValueError("mean arrival interval must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless plain-data view (for JSON / cross-process dispatch)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (lossless)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
-        return cls(**data)  # type: ignore[arg-type]

@@ -101,14 +101,6 @@ class TestSymbolTable:
             "Thing": "class",
         }
 
-    def test_class_info_fields_and_classvars(self, tmp_path):
-        model, _ = build_fixture(tmp_path)
-        ((_, thing),) = model.find_classes("Thing")
-        assert thing.is_dataclass
-        assert thing.fields == ("name", "size")
-        assert thing.classvars == ("KIND",)
-        assert "to_dict" in thing.methods
-
     def test_import_records_capture_aliases(self, tmp_path):
         model, root = build_fixture(tmp_path)
         info = model.by_path[str(root / "pkg" / "api.py")]

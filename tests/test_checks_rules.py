@@ -383,101 +383,6 @@ class TestApi003:
         assert self._api003(findings) == []
 
 
-class TestSer001:
-    def test_generic_handler_with_stale_special_case_fires(self, tmp_path):
-        findings = tree_rules(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """
-                from dataclasses import dataclass, fields
-
-                @dataclass(frozen=True)
-                class SimulationConfig:
-                    seed: int = 1
-
-                    def to_dict(self):
-                        out = {}
-                        for f in fields(self):
-                            if f.name == "params":
-                                continue
-                            out[f.name] = getattr(self, f.name)
-                        return out
-            """,
-        })
-        assert [f.rule for f in findings] == ["SER001"]
-        assert "params" in findings[0].message
-
-    def test_non_generic_handler_missing_field_fires(self, tmp_path):
-        findings = tree_rules(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class FaultSpec:
-                    kind: str = "none"
-                    intensity: float = 0.0
-
-                    def to_dict(self):
-                        return {"kind": self.kind}
-            """,
-        })
-        assert [f.rule for f in findings] == ["SER001"]
-        assert "intensity" in findings[0].message
-
-    def test_generic_handler_clean(self, tmp_path):
-        findings = tree_rules(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """
-                from dataclasses import dataclass, fields
-
-                @dataclass(frozen=True)
-                class SimulationConfig:
-                    seed: int = 1
-                    duration_s: float = 0.0
-
-                    def to_dict(self):
-                        return {f.name: getattr(self, f.name)
-                                for f in fields(self)}
-            """,
-        })
-        assert findings == []
-
-    def test_explicit_complete_handler_clean(self, tmp_path):
-        findings = tree_rules(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class FaultSpec:
-                    kind: str = "none"
-                    intensity: float = 0.0
-
-                    def to_dict(self):
-                        return {"kind": self.kind,
-                                "intensity": self.intensity}
-            """,
-        })
-        assert findings == []
-
-    def test_other_dataclasses_not_inventoried(self, tmp_path):
-        findings = tree_rules(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/other.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class Unrelated:
-                    a: int = 0
-                    b: int = 0
-
-                    def to_dict(self):
-                        return {"a": self.a}
-            """,
-        })
-        assert findings == []
-
-
 class TestArch001:
     def test_core_importing_harness_fires(self, tmp_path):
         findings = tree_rules(tmp_path, {

@@ -75,6 +75,14 @@ class TestValidation:
         {"queue_capacity": 0},
         {"mobility_model": "teleport"},
         {"sink_placement": "everywhere"},
+        {"duration_s": float("nan")},
+        {"duration_s": float("inf")},
+        {"mean_arrival_s": float("nan")},
+        {"mobility_tick_s": float("nan")},
+        {"invariant_interval_s": float("nan")},
+        {"exit_probability": 2.0},
+        {"exit_probability": -0.1},
+        {"mobility_tick_s": 0.0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

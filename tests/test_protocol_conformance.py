@@ -11,17 +11,12 @@ what its unit tests say.
 
 import pytest
 
-from repro.contact.simulator import ContactSimConfig
+from repro.codec import from_plain, to_plain
+from repro.contact.simulator import ContactSimConfig, ContactSimResult
 from repro.harness.runner import Job, ProcessPoolRunner, SerialRunner
-from repro.harness.serialize import (
-    canonical_json,
-    contact_result_from_dict,
-    contact_result_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.harness.serialize import canonical_json
 from repro.network.config import SimulationConfig
-from repro.network.simulation import run_simulation
+from repro.network.simulation import SimulationResult, run_simulation
 from repro.protocols import (
     contact_policy_names,
     get_protocol,
@@ -59,9 +54,9 @@ class TestPacketLevel:
         result = run_simulation(cfg)
         assert result.messages_generated > 0
         assert 0.0 <= result.delivery_ratio <= 1.0
-        encoded = result_to_dict(result)
-        assert canonical_json(result_to_dict(
-            result_from_dict(encoded))) == canonical_json(encoded)
+        encoded = to_plain(result)
+        assert canonical_json(to_plain(from_plain(
+            SimulationResult, encoded))) == canonical_json(encoded)
 
 
 class TestContactLevel:
@@ -73,9 +68,9 @@ class TestContactLevel:
         result = SerialRunner().run_jobs([Job("contact", cfg)])[0]
         assert result.messages_generated > 0
         assert 0.0 <= result.delivery_ratio <= 1.0
-        encoded = contact_result_to_dict(result)
-        assert canonical_json(contact_result_to_dict(
-            contact_result_from_dict(encoded))) == canonical_json(encoded)
+        encoded = to_plain(result)
+        assert canonical_json(to_plain(from_plain(
+            ContactSimResult, encoded))) == canonical_json(encoded)
 
 
 class TestRunnerEquivalence:
@@ -95,6 +90,5 @@ class TestRunnerEquivalence:
                 assert canonical_json(a.to_dict()) == canonical_json(
                     b.to_dict()), job.config.protocol
             else:
-                assert canonical_json(
-                    contact_result_to_dict(a)) == canonical_json(
-                    contact_result_to_dict(b)), job.config.policy
+                assert canonical_json(to_plain(a)) == canonical_json(
+                    to_plain(b)), job.config.policy

@@ -1,7 +1,12 @@
 """Contact-plan parser: grammar, strict error paths, round trips."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.contact.simulator import ContactSimConfig, run_contact_simulation
 from repro.scenario.plan import (
     ContactPlan,
     ContactPlanError,
@@ -71,6 +76,11 @@ class TestErrorPaths:
         ("a contact 0 10 0 1 fast", "bad rate"),
         ("a contact 0 10 0 1 0", "rate must be positive"),
         ("a contact 0 10 0 1 -100", "rate must be positive"),
+        ("a contact +nan +10 1 2 10000", "non-finite time"),
+        ("a contact 0 +inf 1 2 10000", "non-finite time"),
+        ("a contact 0 1e999 1 2 10000", "non-finite time"),
+        ("a contact 0 10 1 2 inf", "rate must be positive and finite"),
+        ("a contact 0 10 1 2 nan", "rate must be positive and finite"),
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(ContactPlanError, match=fragment):
@@ -102,6 +112,45 @@ class TestErrorPaths:
         with pytest.raises(ContactPlanError, match=r"\[9\]"):
             plan.require_nodes([0, 1, 2])
         plan.require_nodes(range(10))  # no raise
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_replay_never_sees_a_non_finite_rate(self, tmp_path, rate):
+        # Accepted, these rates crashed the exchange: ZeroDivisionError
+        # for inf, a NaN-to-integer conversion for nan.
+        path = tmp_path / "plan.txt"
+        path.write_text(f"a contact 0 10 0 1 {rate}\n")
+        with pytest.raises(ContactPlanError, match="line 1"):
+            run_contact_simulation(ContactSimConfig(
+                policy="direct", duration_s=50.0, n_sensors=1, n_sinks=1,
+                plan_path=str(path)))
+
+
+#: Numeric tokens a hand-written plan may contain, the odd ones included.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-3, max_value=10 ** 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e999", "-0",
+                     "1e-320", "1_000"]),
+)
+_TIME = st.one_of(_NUMBER, _NUMBER.map(lambda token: "+" + token))
+_NODE = st.integers(min_value=0, max_value=4).map(str)
+_LINE = st.builds("a contact {} {} {} {} {}".format,
+                  _TIME, _TIME, _NODE, _NODE, _NUMBER)
+
+
+class TestParserProperty:
+    @given(lines=st.lists(_LINE, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_plans_are_finite_and_ordered(self, lines):
+        try:
+            plan = parse_contact_plan("\n".join(lines))
+        except ContactPlanError:
+            return  # rejecting is always allowed
+        for c in plan.contacts:
+            assert math.isfinite(c.start) and math.isfinite(c.end)
+            assert 0.0 <= c.start <= c.end
+            assert math.isfinite(c.rate_bps) and c.rate_bps > 0
+            assert c.a < c.b
 
 
 class TestRoundTrips:

@@ -5,11 +5,7 @@ import json
 import pytest
 
 from repro.contact.simulator import ContactSimConfig
-from repro.harness.serialize import (
-    canonical_json,
-    contact_config_from_dict,
-    contact_config_to_dict,
-)
+from repro.harness.serialize import canonical_json
 from repro.network.config import SimulationConfig
 from repro.scenario.registry import (
     SCENARIOS,
@@ -112,8 +108,8 @@ class TestConfigBuilders:
 class TestConfigRoundTrips:
     def test_contact_config_with_scenario_round_trips(self):
         cfg = scenario_contact_config(get_scenario("satellite-pass"), seed=3)
-        data = contact_config_to_dict(cfg)
-        again = contact_config_from_dict(json.loads(canonical_json(data)))
+        data = cfg.to_dict()
+        again = ContactSimConfig.from_dict(json.loads(canonical_json(data)))
         assert again == cfg
         assert again.scenario == cfg.scenario
 
@@ -126,7 +122,6 @@ class TestConfigRoundTrips:
 
     def test_canonical_json_is_stable(self):
         cfg = scenario_contact_config(get_scenario("satellite-pass"), seed=3)
-        a = canonical_json(contact_config_to_dict(cfg))
-        b = canonical_json(contact_config_to_dict(
-            contact_config_from_dict(contact_config_to_dict(cfg))))
+        a = canonical_json(cfg.to_dict())
+        b = canonical_json(ContactSimConfig.from_dict(cfg.to_dict()).to_dict())
         assert a == b
