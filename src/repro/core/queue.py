@@ -13,6 +13,7 @@ behaviour deterministic.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -204,12 +205,15 @@ class FtdQueue:
         """``B(F)`` of Sec. 3.2.2: free slots plus slots held by messages
         with FTD strictly greater than ``ftd`` (which an incoming more
         important message could displace)."""
-        displaceable = sum(1 for c in self._copies if c.ftd > ftd)
-        return self.free_slots + displaceable
+        # Free slots plus the displaceable tail is the capacity minus the
+        # copies with FTD <= ftd.  Sequence numbers are finite, so
+        # (ftd, inf) sorts after every key with this FTD.
+        kept = bisect.bisect_right(self._keys, (ftd, math.inf))
+        return self.capacity - kept
 
     def count_more_important_than(self, ftd_bound: float) -> int:
         """``K_F`` of Eq. (5): messages with FTD smaller than ``ftd_bound``."""
-        return sum(1 for c in self._copies if c.ftd < ftd_bound)
+        return bisect.bisect_left(self._keys, (ftd_bound, -math.inf))
 
     def importance_fraction(self, ftd_bound: float) -> float:
         """Eq. (5): ``alpha_i = K_F / K`` over the *capacity* K."""

@@ -69,6 +69,34 @@ class TestQueueProperties:
                 q.reinsert_with_ftd(head, min(1.0, head.ftd + op[1]))
             check_queue_invariants(q)
 
+    @given(st.lists(queue_op, max_size=60),
+           st.integers(min_value=1, max_value=6),
+           st.lists(probability, max_size=4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_buffer_queries_match_a_linear_scan(self, ops, capacity, probes,
+                                                data):
+        q = FtdQueue(capacity, drop_threshold=0.95)
+        for op in ops:
+            if op[0] == "insert":
+                q.insert(fresh_copy(op[1]))
+            elif op[0] == "pop" and len(q):
+                q.pop()
+            elif op[0] == "remove" and len(q):
+                q.remove(list(q)[op[1] % len(q)].message_id)
+            elif op[0] == "reinsert" and len(q):
+                head = q.pop()
+                q.reinsert_with_ftd(head, min(1.0, head.ftd + op[1]))
+            # Probe the buffered FTDs themselves, where strict > and <
+            # differ from their non-strict forms.
+            ftds = [c.ftd for c in q]
+            if ftds:
+                probes = probes + [data.draw(st.sampled_from(ftds))]
+            for f in probes:
+                assert q.available_slots_for(f) == (
+                    q.free_slots + sum(1 for c in ftds if c > f))
+                assert q.count_more_important_than(f) == sum(
+                    1 for c in ftds if c < f)
+
     @given(st.lists(probability, min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_head_is_always_a_minimum(self, ftds):
