@@ -241,3 +241,36 @@ class TestTracesS4:
                 _replay_config(tmp_path, trace_path=str(trace)))
             traces.append(trace.read_bytes())
         assert traces[0] == traces[1]
+
+
+class TestContactCapacity:
+    """A window's transfer budget is floored without losing a slot."""
+
+    def test_fractional_window_plan_keeps_every_slot(self, tmp_path):
+        # 0.6 s at 10 kbps with efficiency 0.5 carries exactly three
+        # 1000-bit messages; the float quotient 0.3 / 0.1 is a few ULPs
+        # under 3, which used to cost the third transfer.
+        cfg = _replay_config(tmp_path, text="a contact +0 +0.6 0 1 10000\n",
+                             policy="direct", n_sensors=1,
+                             mean_arrival_s=1e9, duration_s=10.0)
+        sim = ContactSimulation(cfg)
+        for _ in range(4):
+            message = DataMessage(message_id=fresh_message_id(), origin=1,
+                                  created_at=0.0)
+            sim.collector.record_generation(message.message_id, 0.0,
+                                            origin=1)
+            sim.policies[1].enqueue_new(message)
+        result = sim.run()
+        assert result.transfers == 3
+        assert result.messages_delivered == 3
+
+    def test_every_decisecond_window_gets_its_exact_capacity(self):
+        from fractions import Fraction
+
+        from repro.contact.detector import Contact
+
+        sim = ContactSimulation(ContactSimConfig(n_sensors=1, n_sinks=1))
+        for tenths in range(1, 20_000):
+            exact = Fraction(tenths, 10) / 2 * 10_000 // 1000
+            window = Contact(0, 1, 0.0, tenths / 10)
+            assert sim._contact_capacity(window) == exact, tenths
