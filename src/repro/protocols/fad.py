@@ -35,6 +35,10 @@ class FadPolicy(ContactPolicy):
             return 1.0
         return self.estimator.xi(now)
 
+    def steady_at(self, now: float) -> bool:
+        """Steady until the next whole xi decay step (sinks: always)."""
+        return self.is_sink or self.estimator.steady_at(now)
+
     def wants_to_send(self, peer: ContactPolicy,
                       now: float) -> Optional[MessageCopy]:
         """Offer the lowest-FTD message to a strictly better peer."""
