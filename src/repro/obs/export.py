@@ -3,16 +3,21 @@
 Writers subscribe to the wildcard topic and serialize each event as it
 is emitted, so trace memory stays O(1) regardless of run length.  Field
 order inside each record follows the event dataclass declaration order
-(``topic`` first), which keeps seeded traces byte-identical.
+(``topic`` first), which keeps seeded traces byte-identical.  Both
+writers hand each line to a C encoder (``json``'s one-shot encoder,
+``csv.writer``); the per-event Python work is building one dict or one
+tuple.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import TracebackType
-from typing import Dict, IO, List, Optional, Type, Union
+from typing import Any, Callable, Dict, IO, List, Optional, Type, Union
 
 from repro.obs.bus import ALL_TOPICS, TelemetryBus
 from repro.obs.events import (
@@ -44,6 +49,27 @@ for _cls in (FrameTx, FrameRx, FrameCollision, RadioSleep, RadioWake,
         if _name not in CSV_COLUMNS:
             CSV_COLUMNS.append(_name)
 del _cls, _name
+
+#: One-shot encode takes json's C encoder; ``json.dump`` would not.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=None)
+def _csv_row_getter(
+        cls: Type[TelemetryEvent]) -> Callable[[TelemetryEvent], Any]:
+    """``event -> row`` in :data:`CSV_COLUMNS` order for events of ``cls``.
+
+    Fields ``cls`` lacks read a trailing ``None``, which ``csv`` writes
+    as an empty cell, as it does an explicit ``None``.
+    """
+    fields = ("topic",) + tuple(cls.__dataclass_fields__)
+    unknown = [name for name in fields if name not in CSV_COLUMNS]
+    if unknown:
+        raise ValueError(f"{cls.__name__} fields {unknown} are not CSV columns")
+    values = attrgetter(*fields)
+    pick = itemgetter(*(fields.index(name) if name in fields
+                        else len(fields) for name in CSV_COLUMNS))
+    return lambda event: pick(values(event) + (None,))
 
 
 class _BaseTraceWriter:
@@ -95,9 +121,7 @@ class JsonlTraceWriter(_BaseTraceWriter):
     """One JSON object per line per event."""
 
     def write(self, event: TelemetryEvent) -> None:
-        fh = self._handle()
-        json.dump(event_to_dict(event), fh, separators=(",", ":"))
-        fh.write("\n")
+        self._handle().write(_encode(event_to_dict(event)) + "\n")
         self.events_written += 1
 
 
@@ -109,12 +133,12 @@ class CsvTraceWriter(_BaseTraceWriter):
 
     def __init__(self, path: Union[str, Path]) -> None:
         super().__init__(path)
-        self._writer = csv.DictWriter(self._handle(), fieldnames=CSV_COLUMNS)
-        self._writer.writeheader()
+        self._writer = csv.writer(self._handle())
+        self._writer.writerow(CSV_COLUMNS)
 
     def write(self, event: TelemetryEvent) -> None:
         self._handle()  # raise cleanly if closed
-        self._writer.writerow(event_to_dict(event))
+        self._writer.writerow(_csv_row_getter(type(event))(event))
         self.events_written += 1
 
 
