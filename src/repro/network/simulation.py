@@ -301,13 +301,25 @@ class Simulation:
         :exc:`~repro.checks.invariants.InvariantViolation` on the first
         breach.  The checker only reads protocol state, so every metric
         is identical either way; only ``events_fired`` additionally
-        counts the checker's sweep events.
+        counts the checker's sweep events.  A ``config.trace_path``
+        writer is flushed, closed and unsubscribed even if the run
+        raises.
         """
         started = time.perf_counter()  # lint: disable=DET002 (wall metric)
         writer = None
         if self.config.trace_path is not None:
             writer = writer_for_path(self.config.trace_path)
             writer.subscribe(self.enable_telemetry())
+        try:
+            self._run_loop()
+        finally:
+            if writer is not None:
+                writer.close()
+        wall = time.perf_counter() - started  # lint: disable=DET002 (wall metric)
+        return self._collect_result(wall)
+
+    def _run_loop(self) -> None:
+        """Arm the checker and faults, start every node, run, finalize."""
         checker: Optional[InvariantChecker] = None
         if self.config.check_invariants or invariants_forced():
             checker = InvariantChecker(
@@ -331,10 +343,6 @@ class Simulation:
         if checker is not None:
             checker.check_now()
             self.invariant_checks_run = checker.checks_run
-        if writer is not None:
-            writer.close()
-        wall = time.perf_counter() - started  # lint: disable=DET002 (wall metric)
-        return self._collect_result(wall)
 
     def _collect_result(self, wall_clock_s: float) -> SimulationResult:
         duration = self.config.duration_s

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from repro.checks.invariants import InvariantViolation
 from repro.contact.detector import ContactTracer
 from repro.des import EventScheduler
 from repro.harness.cli import main as cli_main
@@ -96,6 +97,26 @@ class TestRunTraces:
         events = read_trace(path)
         tx = [e for e in events if e["topic"] == "frame.tx"]
         assert len(tx) == result.transmissions
+
+    @pytest.mark.parametrize("name", ["run.jsonl", "run.csv"])
+    def test_run_that_raises_still_closes_its_trace(self, tmp_path, name):
+        path = tmp_path / name
+        sim = Simulation(SimulationConfig(trace_path=str(path), **SMOKE))
+        emitted = []
+        record = emitted.append
+        sim.bus.subscribe("*", record)
+
+        def violate():
+            raise InvariantViolation("INV-TEST", "forced mid-run",
+                                     time=sim.scheduler.now)
+
+        sim.scheduler.schedule_at(250.0, violate)
+        with pytest.raises(InvariantViolation, match="INV-TEST"):
+            sim.run()
+        # Every line was flushed and parses; the writer left the bus.
+        assert len(read_trace(path)) == len(emitted) > 0
+        sim.bus.unsubscribe("*", record)
+        assert sim.bus.subscriber_count("*") == 0
 
 
 # ----------------------------------------------------------------------
