@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """Measure the telemetry subsystem's runtime overhead -> BENCH_obs.json.
 
-Times three variants of the same seeded reduced-scale run:
+Times three variants of the same seeded reduced-scale run, in CPU time
+(``time.process_time``), which on a shared machine is far steadier than
+wall clock:
 
 * ``disabled`` — the default path every user gets: every
   instrumentation site is a single ``self._bus is None`` check;
@@ -26,6 +28,7 @@ import statistics
 import tempfile
 import time
 import timeit
+from typing import Dict, List
 
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
@@ -35,20 +38,24 @@ BENCH = dict(protocol="opt", n_sensors=30, n_sinks=3,
              duration_s=600.0, seed=9)
 
 
-def _time_runs(repeats: int, **extra: object) -> float:
-    """Median wall-clock of ``repeats`` identical runs (seconds).
+def _time_variants(repeats: int,
+                   variants: Dict[str, Dict[str, object]]) -> Dict[str, float]:
+    """Median CPU time of ``repeats`` runs of each variant (seconds).
 
-    One untimed warm-up run first, so import costs and allocator /
-    branch-predictor warm-up don't bias whichever variant runs first.
+    The variants take turns within each repeat, so slow drift in the
+    machine's load falls on all of them alike.  One untimed warm-up
+    round first, so import costs and allocator / branch-predictor
+    warm-up don't bias whichever variant runs first.
     """
-    times = []
+    times: Dict[str, List[float]] = {name: [] for name in variants}
     for i in range(repeats + 1):
-        config = SimulationConfig(**BENCH, **extra)  # type: ignore[arg-type]
-        t0 = time.perf_counter()
-        run_simulation(config)
-        if i > 0:
-            times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for name, extra in variants.items():
+            config = SimulationConfig(**BENCH, **extra)  # type: ignore[arg-type]
+            t0 = time.process_time()
+            run_simulation(config)
+            if i > 0:
+                times[name].append(time.process_time() - t0)
+    return {name: statistics.median(runs) for name, runs in times.items()}
 
 
 def _guard_ns() -> float:
@@ -70,23 +77,28 @@ def _guard_ns() -> float:
             if bus is not None:  # pragma: no cover - never taken
                 raise AssertionError
 
-    return min(timeit.repeat(loop, number=1, repeat=5)) / n * 1e9
+    return min(timeit.repeat(loop, timer=time.process_time, number=1,
+                             repeat=5)) / n * 1e9
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_obs.json")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=11)
     args = parser.parse_args()
 
     print(f"timing {args.repeats} runs per variant "
           f"({BENCH['n_sensors']} sensors, {BENCH['duration_s']:.0f} s) ...")
-    disabled_s = _time_runs(args.repeats)
-    enabled_s = _time_runs(args.repeats, telemetry=True)
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = pathlib.Path(tmp) / "bench.jsonl"
-        traced_s = _time_runs(args.repeats, trace_path=str(trace_path))
+        medians = _time_variants(args.repeats, {
+            "disabled": {},
+            "enabled": {"telemetry": True},
+            "traced": {"trace_path": str(trace_path)},
+        })
         events_per_run = len(read_trace(trace_path))
+    disabled_s, enabled_s, traced_s = (
+        medians["disabled"], medians["enabled"], medians["traced"])
 
     guard_ns = _guard_ns()
     # Every emitted event crossed at least one guard; scale by the event
@@ -95,6 +107,7 @@ def main() -> None:
 
     payload = {
         "config": dict(BENCH),
+        "clock": "process_time",
         "repeats": args.repeats,
         "disabled_s": round(disabled_s, 4),
         "enabled_s": round(enabled_s, 4),
