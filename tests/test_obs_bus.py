@@ -1,5 +1,6 @@
 """Unit tests for the telemetry substrate (repro.obs)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -280,6 +281,16 @@ class TestExport:
 
     def test_csv_columns_start_with_topic_and_time(self):
         assert CSV_COLUMNS[:2] == ["topic", "time"]
+
+    def test_csv_writer_rejects_fields_outside_the_header(self, tmp_path):
+        @dataclasses.dataclass(frozen=True)
+        class Tagged(FrameTx):
+            tag: str = ""
+
+        with CsvTraceWriter(tmp_path / "t.csv") as writer:
+            with pytest.raises(ValueError, match="tag"):
+                writer.write(Tagged(time=1.0, node=5, frame_kind="data",
+                                    src=5, dst=None, message_id=7, bits=8))
 
 
 # ----------------------------------------------------------------------
