@@ -40,23 +40,23 @@ def grasp_probability(i: int, sigmas: Sequence[int]) -> float:
     theta_ij / sigma_j`` with ``theta_ij = sigma_j - tau`` when
     ``sigma_j > tau`` and 0 otherwise (every other node must draw a
     strictly longer listen period).
+
+    The sum stops at ``tau = min_{j != i} sigma_j - 1``: from there on
+    some ``theta_ij`` is 0, so every further term is exactly 0.0 and
+    leaves the float total unchanged.
     """
     if not 0 <= i < len(sigmas):
         raise IndexError(f"node index {i} out of range")
     sigma_i = sigmas[i]
     if sigma_i < 1 or any(s < 1 for s in sigmas):
         raise ValueError("all sigmas must be at least 1")
+    others = [s for j, s in enumerate(sigmas) if j != i]
+    last_tau = min(sigma_i, min(others) - 1) if others else sigma_i
     total = 0.0
-    for tau in range(1, sigma_i + 1):
+    for tau in range(1, last_tau + 1):
         prod = 1.0
-        for j, sigma_j in enumerate(sigmas):
-            if j == i:
-                continue
-            if sigma_j > tau:
-                prod *= (sigma_j - tau) / sigma_j
-            else:
-                prod = 0.0
-                break
+        for sigma_j in others:
+            prod *= (sigma_j - tau) / sigma_j
         total += prod / sigma_i
     return total
 

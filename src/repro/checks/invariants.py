@@ -9,7 +9,8 @@ the structural properties every protocol variant must preserve:
 * **INV-FTD** (Eq. 2-3) — every queued message copy's fault-tolerance
   degree stays in [0, 1];
 * **INV-ORDER** (Sec. 3.1.2) — every data queue stays sorted by
-  ascending ``(ftd, seq)`` with its key index mirroring its copies;
+  ascending ``(ftd, seq)`` with its key index mirroring its copies and
+  its message-id index holding each buffered id once, at its key;
 * **INV-BUFFER** — queue occupancy never exceeds capacity;
 * **INV-CLOCK** — the scheduler clock never runs backwards and no
   pending event is scheduled in the past;
@@ -104,12 +105,23 @@ def check_queue_invariants(
     """
     keys = queue.sort_keys()
     copies = list(queue)
+    index = queue.message_ids()
     if len(keys) != len(copies):
         raise InvariantViolation(
             "INV-ORDER", f"key index has {len(keys)} entries for "
             f"{len(copies)} copies", node=node, time=now,
             equation="Sec. 3.1.2")
+    if len(index) != len(copies):
+        raise InvariantViolation(
+            "INV-ORDER", f"id index has {len(index)} entries for "
+            f"{len(copies)} copies (an id buffered twice or a stale "
+            f"entry)", node=node, time=now, equation="Sec. 3.1.2")
     for i, (key, copy) in enumerate(zip(keys, copies)):
+        if index.get(copy.message_id) != key:
+            raise InvariantViolation(
+                "INV-ORDER", f"id index maps message {copy.message_id} to "
+                f"{index.get(copy.message_id)!r}, not its slot {i} key "
+                f"{key!r}", node=node, time=now, equation="Sec. 3.1.2")
         if not 0.0 <= copy.ftd <= 1.0:
             raise InvariantViolation(
                 "INV-FTD", f"copy of message {copy.message_id} at slot {i} "

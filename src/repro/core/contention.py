@@ -5,14 +5,26 @@ answer.  ``W`` is the smallest value keeping the birthday-problem
 collision probability (Eq. 14) under the configured target, given the
 sender's estimate of how many neighbors will respond (from its neighbor
 table); with adaptation disabled a fixed window is used.
+
+The Eq. 14 search is a pure function of the responder count, the target
+and the cap, which take few distinct values in a run, so its results are
+memoized rather than re-derived before every RTS.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from repro.analysis.collision import min_contention_window  # lint: disable=ARCH001 (pure-math leaf, docs/CHECKS.md)
 from repro.core.params import ProtocolParameters
+
+
+@lru_cache(maxsize=4096)
+def _cached_min_contention_window(
+    n_responders: int, threshold: float, window_cap: int
+) -> int:
+    return min_contention_window(n_responders, threshold, window_cap)
 
 
 class ContentionPolicy:
@@ -30,7 +42,7 @@ class ContentionPolicy:
                        self._params.contention_window_slots)
         self.optimizations += 1
         n = max(1, expected_responders)
-        window = min_contention_window(
+        window = _cached_min_contention_window(
             n, self._params.collision_target, self._params.cw_cap_slots
         )
         return max(self._params.cw_min_slots, window)

@@ -9,11 +9,13 @@ smallest value keeping the analytic collision probability (Eq. 10-12)
 under the configured target, computed from the delivery probabilities in
 the node's neighbor table.
 
-The Eq. 13 search is exact but costs ``O(tau_cap^2 * m^2)``; since its
-*input* (the cell's xi population) drifts slowly, results are memoized on
-quantized, sorted xi tuples and the cell considered is capped at the
-strongest contenders — the collision probability saturates well before
-the table's capacity anyway.
+Each Eq. 13 probe evaluates Eq. 10-12 in ``O(m^2 * tau_max)`` (``m``
+sums over at most ``tau_max`` slots, each a product over the other
+``m - 1`` members), and the search makes ``O(log tau_cap)`` probes;
+since its *input* (the cell's xi population) drifts slowly, results are
+memoized on quantized, sorted xi tuples and the cell considered is
+capped at the strongest contenders — the collision probability
+saturates well before the table's capacity anyway.
 """
 
 from __future__ import annotations

@@ -55,6 +55,8 @@ class FtdQueue:
         self.drop_threshold = drop_threshold
         self._keys: List[Tuple[float, int]] = []  # (ftd, seq) sort keys
         self._copies: List[MessageCopy] = []
+        # message id -> its (ftd, seq) key; ids are unique in a buffer
+        self._index: Dict[int, Tuple[float, int]] = {}
         self._seq = 0
         self.stats = QueueStats()
         self._bus: Optional[TelemetryBus] = None
@@ -89,7 +91,7 @@ class FtdQueue:
         return iter(list(self._copies))
 
     def __contains__(self, message_id: int) -> bool:
-        return any(c.message_id == message_id for c in self._copies)
+        return message_id in self._index
 
     @property
     def free_slots(self) -> int:
@@ -132,7 +134,7 @@ class FtdQueue:
             self.stats.drops_overflow += 1
             self._emit_drop(dropped, "overflow")
             # The incoming copy may itself have been the tail just dropped.
-            return self._find(copy.message_id) is not None
+            return copy.message_id in self._index
         return True
 
     def peek(self) -> Optional[MessageCopy]:
@@ -158,8 +160,13 @@ class FtdQueue:
         """Put a popped head back with an updated FTD (post-multicast).
 
         Applies the threshold-drop rule: a copy pushed past the drop
-        threshold by Eq. (3) is discarded (Sec. 3.1.2).
+        threshold by Eq. (3) is discarded (Sec. 3.1.2).  The caller must
+        have popped or removed the copy first: a message id already
+        buffered raises ``ValueError`` (a buffer holds one copy per id).
         """
+        if copy.message_id in self._index:
+            raise ValueError(
+                f"message {copy.message_id} is already buffered")
         updated = MessageCopy(copy.message, ftd=min(1.0, new_ftd),
                               hops=copy.hops, received_at=copy.received_at)
         if updated.ftd >= self.drop_threshold:
@@ -172,7 +179,7 @@ class FtdQueue:
             dropped = self._pop_index(len(self._copies) - 1)
             self.stats.drops_overflow += 1
             self._emit_drop(dropped, "overflow")
-            return self._find(updated.message_id) is not None
+            return updated.message_id in self._index
         return True
 
     def purge(self) -> int:
@@ -188,6 +195,7 @@ class FtdQueue:
         self.stats.purged += purged
         self._copies.clear()
         self._keys.clear()
+        self._index.clear()
         return purged
 
     def sort_keys(self) -> List[Tuple[float, int]]:
@@ -197,6 +205,14 @@ class FtdQueue:
         the list is a copy, safe to inspect while the queue mutates.
         """
         return list(self._keys)
+
+    def message_ids(self) -> Dict[int, Tuple[float, int]]:
+        """Snapshot of the message-id index: each buffered id mapped to
+        its ``(ftd, seq)`` sort key.
+
+        Exposed for the invariant checker, like :meth:`sort_keys`.
+        """
+        return dict(self._index)
 
     # ------------------------------------------------------------------
     # queries used by the protocol
@@ -223,10 +239,11 @@ class FtdQueue:
     # internals
     # ------------------------------------------------------------------
     def _find(self, message_id: int) -> Optional[int]:
-        for i, c in enumerate(self._copies):
-            if c.message_id == message_id:
-                return i
-        return None
+        key = self._index.get(message_id)
+        if key is None:
+            return None
+        # Sequence numbers make every key unique, so this is its slot.
+        return bisect.bisect_left(self._keys, key)
 
     def _insort(self, copy: MessageCopy) -> None:
         key = (copy.ftd, self._seq)
@@ -234,7 +251,10 @@ class FtdQueue:
         idx = bisect.bisect_left(self._keys, key)
         self._keys.insert(idx, key)
         self._copies.insert(idx, copy)
+        self._index[copy.message_id] = key
 
     def _pop_index(self, idx: int) -> MessageCopy:
         self._keys.pop(idx)
-        return self._copies.pop(idx)
+        copy = self._copies.pop(idx)
+        del self._index[copy.message_id]
+        return copy

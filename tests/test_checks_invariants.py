@@ -94,6 +94,39 @@ class TestQueueInvariants:
             check_queue_invariants(q)
         assert err.value.invariant == "INV-ORDER"
 
+    def test_id_index_missing_a_buffered_id(self):
+        q = filled_queue()
+        del q._index[q.peek().message_id]
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+
+    def test_id_index_holding_an_absent_id(self):
+        q = filled_queue()
+        q._index[-1] = (0.8, 99)
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+
+    def test_id_index_pointing_at_the_wrong_key(self):
+        q = filled_queue()
+        first, second = [c.message_id for c in q][:2]
+        q._index[first], q._index[second] = (q._index[second],
+                                             q._index[first])
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+
+    def test_id_buffered_twice(self):
+        q = filled_queue()
+        # Smuggle a second copy of the head's message past insert()'s
+        # merge (ledger kept consistent so INV-ORDER is the breach).
+        q._insort(MessageCopy(q.peek().message, ftd=0.7))
+        q.stats.inserted += 1
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+
     def test_occupancy_over_capacity(self):
         q = filled_queue(ftds=(0.1, 0.3), capacity=2)
         # Smuggle a third copy past insert()'s overflow handling (keep

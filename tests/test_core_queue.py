@@ -80,6 +80,16 @@ class TestDropRules:
         assert q.reinsert_with_ftd(head, 0.5)
         assert q.peek().ftd == pytest.approx(0.5)
 
+    def test_reinsert_of_a_buffered_id_raises(self):
+        q = FtdQueue(10)
+        q.insert(copy(1, ftd=0.2))
+        q.insert(copy(2, ftd=0.4))
+        with pytest.raises(ValueError, match="already buffered"):
+            q.reinsert_with_ftd(copy(1, ftd=0.2), 0.5)
+        assert [c.message_id for c in q] == [1, 2]
+        assert q.peek().ftd == 0.2
+        assert q.stats.reinserted == 0
+
     def test_sink_confirmed_copy_ftd_one_always_dropped(self):
         q = FtdQueue(10, drop_threshold=1.0)
         q.insert(copy(1, ftd=0.0))

@@ -42,6 +42,22 @@ queue_op = st.one_of(
 )
 
 
+#: Operations addressed by message id: ("insert", ftd) |
+#: ("duplicate", idx, ftd) | ("pop",) | ("remove", idx) |
+#: ("remove_absent", idx) | ("reinsert", ftd).  ``idx`` picks a buffered
+#: copy (or, for "remove_absent", a once-seen id no longer buffered).
+id_op = st.one_of(
+    st.tuples(st.just("insert"), probability),
+    st.tuples(st.just("duplicate"), st.integers(min_value=0, max_value=30),
+              probability),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("remove_absent"),
+              st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("reinsert"), probability),
+)
+
+
 def fresh_copy(ftd):
     msg = DataMessage(fresh_message_id(), origin=0, created_at=0.0)
     return MessageCopy(msg, ftd=ftd)
@@ -96,6 +112,46 @@ class TestQueueProperties:
                     q.free_slots + sum(1 for c in ftds if c > f))
                 assert q.count_more_important_than(f) == sum(
                     1 for c in ftds if c < f)
+
+    @given(st.lists(id_op, max_size=60),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_id_queries_match_a_linear_scan(self, ops, capacity):
+        q = FtdQueue(capacity, drop_threshold=0.95)
+        seen = [-1]  # every id ever offered; -1 is never a message id
+        for op in ops:
+            before = list(q)
+            if op[0] == "insert":
+                c = fresh_copy(op[1])
+                seen.append(c.message_id)
+                q.insert(c)
+            elif op[0] == "duplicate" and before:
+                old = before[op[1] % len(before)]
+                q.insert(MessageCopy(old.message, ftd=op[2], hops=1))
+                # Merge-on-insert: one copy per id, at the smaller FTD
+                # (an over-threshold duplicate is rejected outright).
+                merged = old.ftd if op[2] >= 0.95 else min(old.ftd, op[2])
+                assert len(q) == len(before)
+                assert [c.ftd for c in q
+                        if c.message_id == old.message_id] == [merged]
+            elif op[0] == "pop" and before:
+                assert q.pop() is before[0]
+            elif op[0] == "remove" and before:
+                target = before[op[1] % len(before)]
+                assert q.remove(target.message_id) is target
+                assert list(q) == [c for c in before if c is not target]
+            elif op[0] == "remove_absent":
+                buffered = {c.message_id for c in before}
+                absent = [m for m in seen if m not in buffered]
+                assert q.remove(absent[op[1] % len(absent)]) is None
+                assert list(q) == before
+            elif op[0] == "reinsert" and before:
+                head = q.pop()
+                q.reinsert_with_ftd(head, min(1.0, head.ftd + op[1]))
+            scan = [c.message_id for c in q]
+            assert len(set(scan)) == len(scan)
+            for mid in seen:
+                assert (mid in q) == (mid in scan)
 
     @given(st.lists(probability, min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
