@@ -17,7 +17,8 @@ The observability story in one place (see docs/OBSERVABILITY.md):
 * :class:`~repro.obs.recorder.TraceRecorder` — a bounded in-memory ring
   of frame events plus the message-journey / node-activity /
   channel-usage reports over it.
-* :mod:`~repro.obs.report` — the tables behind ``dftmsn report``.
+* :mod:`~repro.obs.report` — the tables behind ``dftmsn report``: a
+  trace replayed through the registry and the span tracker.
 
 This package is a leaf: it never imports the simulation layers, so any
 layer (DES core, radio, protocol, contact, harness) can emit into it

@@ -14,23 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List
 
-from repro.obs.events import (
-    ContactEnd,
-    ContactStart,
-    FaultInject,
-    FaultRecover,
-    FrameCollision,
-    FrameRx,
-    FrameTx,
-    MessageDelivered,
-    MessageGenerated,
-    PhaseEnter,
-    PhaseExit,
-    QueueDrop,
-    RadioSleep,
-    RadioWake,
-    TelemetryEvent,
-)
+from repro.obs.events import EVENT_TYPES, TelemetryEvent
 
 Subscriber = Callable[[TelemetryEvent], None]
 
@@ -38,25 +22,7 @@ Subscriber = Callable[[TelemetryEvent], None]
 ALL_TOPICS = "*"
 
 #: The closed set of topics the bus routes.
-TOPICS: FrozenSet[str] = frozenset(
-    cls.topic
-    for cls in (
-        FrameTx,
-        FrameRx,
-        FrameCollision,
-        RadioSleep,
-        RadioWake,
-        ContactStart,
-        ContactEnd,
-        FaultInject,
-        FaultRecover,
-        QueueDrop,
-        PhaseEnter,
-        PhaseExit,
-        MessageGenerated,
-        MessageDelivered,
-    )
-)
+TOPICS: FrozenSet[str] = frozenset(cls.topic for cls in EVENT_TYPES)
 
 
 class TelemetryBus:

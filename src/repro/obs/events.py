@@ -4,12 +4,17 @@ Every event carries its simulated-time ``time`` stamp plus topic-specific
 payload fields; the class-level ``topic`` string is the bus routing key.
 Events are plain data (ints, floats, strings, ``None``) so that a trace
 line survives a JSON round trip losslessly.
+
+This module is the one place the event schema is spelled out:
+:data:`EVENT_TYPES` lists the concrete classes, and the bus topics, the
+CSV columns and cell types, and :func:`event_from_dict` all derive from
+it and the field annotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 
 @dataclass(frozen=True)
@@ -228,8 +233,38 @@ class MessageDelivered(TelemetryEvent):
     hops: int
 
 
+#: Every concrete event class, in trace CSV column order.
+EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
+    FrameTx, FrameRx, FrameCollision, RadioSleep, RadioWake,
+    ContactStart, ContactEnd, FaultInject, FaultRecover,
+    QueueDrop, PhaseEnter, PhaseExit,
+    MessageGenerated, MessageDelivered,
+)
+
+_TYPE_BY_TOPIC: Dict[str, Type[TelemetryEvent]] = {
+    cls.topic: cls for cls in EVENT_TYPES}
+
+
+def event_type(topic: object) -> Type[TelemetryEvent]:
+    """The event class routed on ``topic``; ``ValueError`` if none is."""
+    cls = _TYPE_BY_TOPIC.get(topic) if isinstance(topic, str) else None
+    if cls is None:
+        raise ValueError(f"unknown telemetry topic {topic!r}")
+    return cls
+
+
 def event_to_dict(event: TelemetryEvent) -> Dict[str, object]:
     """Flat plain-data view of an event: ``topic`` plus its fields."""
     out: Dict[str, object] = {"topic": event.topic}
     out.update(event.__dict__)
     return out
+
+
+def event_from_dict(data: Mapping[str, Any]) -> TelemetryEvent:
+    """Inverse of :func:`event_to_dict`: the event ``data`` describes.
+
+    The class is looked up by ``topic``; a field ``data`` lacks (such as
+    an empty CSV cell) reads as ``None``.
+    """
+    cls = event_type(data.get("topic"))
+    return cls(**{field.name: data.get(field.name) for field in fields(cls)})

@@ -1,14 +1,23 @@
 """Render per-phase / per-drop-cause tables from a trace.
 
 Backs the ``dftmsn report`` subcommand: takes the plain event dicts a
-trace file loads into (see :func:`repro.obs.export.read_trace`) and
-produces a deterministic text report.  Floats are rounded to three
-decimals so seeded golden files stay stable across platforms.
+trace file loads into (see :func:`repro.obs.export.read_trace`), replays
+them onto a fresh bus through the live aggregators
+(:class:`~repro.obs.metrics.MetricsRegistry`,
+:class:`~repro.obs.spans.SpanTracker`) and formats their snapshots, so a
+run's ``result.telemetry`` and the report of its trace agree by
+construction.  Floats are rounded to three decimals so seeded golden
+files stay stable across platforms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple, cast
+
+from repro.obs.bus import TelemetryBus
+from repro.obs.events import event_from_dict
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanTracker
 
 
 def _fmt(value: float) -> str:
@@ -30,140 +39,93 @@ def _table(header: Tuple[str, ...], rows: Iterable[Tuple[str, ...]]) -> List[str
 
 def render_report(events: List[Dict[str, object]]) -> str:
     """Human-readable summary tables for a list of trace event dicts."""
-    lines: List[str] = [f"trace events: {len(events)}", ""]
+    bus = TelemetryBus()
+    registry = MetricsRegistry()
+    registry.bind(bus)
+    tracker = SpanTracker(max_spans=0)  # the summary is all we print
+    tracker.subscribe(bus)
+    for data in events:
+        bus.emit(event_from_dict(data))
+    metrics = registry.as_dict()
+    counters = cast(Mapping[str, Any], metrics["counters"])
+    histograms = cast(Mapping[str, Any], metrics["histograms"])
 
-    # ------------------------------------------------------------------
-    # frames by kind
-    # ------------------------------------------------------------------
-    frame_counts: Dict[str, Dict[str, int]] = {}
-    for event in events:
-        topic = event["topic"]
-        if topic in ("frame.tx", "frame.rx", "frame.collision"):
-            kind = str(event["frame_kind"])
-            per_kind = frame_counts.setdefault(kind, {})
-            per_kind[str(topic)] = per_kind.get(str(topic), 0) + 1
+    def count(name: str) -> str:
+        return str(counters.get(name, 0))
+
+    def keys(*prefixes: str) -> List[str]:
+        """Sorted ``key`` of every counter named ``<prefix>.<key>``."""
+        return sorted({name[len(prefix) + 1:] for name in counters
+                       for prefix in prefixes
+                       if name.startswith(prefix + ".")})
+
+    def mean(name: str) -> str:
+        return _fmt(histograms[name]["total"] / histograms[name]["count"])
+
+    lines: List[str] = [f"trace events: {bus.events_emitted}", ""]
+
     lines.append("frames by kind")
-    if frame_counts:
+    kinds = keys("frames_tx", "frames_rx", "frames_collision")
+    if kinds:
         lines.extend(_table(
             ("kind", "tx", "rx", "collisions"),
-            ((kind,
-              str(frame_counts[kind].get("frame.tx", 0)),
-              str(frame_counts[kind].get("frame.rx", 0)),
-              str(frame_counts[kind].get("frame.collision", 0)))
-             for kind in sorted(frame_counts))))
+            ((kind, count(f"frames_tx.{kind}"), count(f"frames_rx.{kind}"),
+              count(f"frames_collision.{kind}"))
+             for kind in kinds)))
     else:
         lines.append("  (no frame events)")
     lines.append("")
 
-    # ------------------------------------------------------------------
-    # queue drops by cause
-    # ------------------------------------------------------------------
-    drop_counts: Dict[str, int] = {}
-    for event in events:
-        if event["topic"] == "queue.drop":
-            cause = str(event["cause"])
-            drop_counts[cause] = drop_counts.get(cause, 0) + 1
     lines.append("queue drops by cause")
-    if drop_counts:
+    causes = keys("queue_drops")
+    if causes:
         lines.extend(_table(
             ("cause", "drops"),
-            ((cause, str(drop_counts[cause]))
-             for cause in sorted(drop_counts))))
+            ((cause, count(f"queue_drops.{cause}")) for cause in causes)))
     else:
         lines.append("  (no queue drops)")
     lines.append("")
 
-    # ------------------------------------------------------------------
-    # fault injections / recoveries (section only rendered when a fault
-    # model ran, so fault-free traces keep their historical report)
-    # ------------------------------------------------------------------
-    fault_counts: Dict[str, Dict[str, int]] = {}
-    for event in events:
-        topic = event["topic"]
-        if topic in ("fault.inject", "fault.recover"):
-            model = str(event["model"])
-            per_model = fault_counts.setdefault(model, {})
-            per_model[str(topic)] = per_model.get(str(topic), 0) + 1
-    if fault_counts:
+    # Only rendered when a fault model ran, so fault-free traces keep
+    # their historical report.
+    models = keys("faults_injected", "faults_recovered")
+    if models:
         lines.append("faults by model")
         lines.extend(_table(
             ("model", "injected", "recovered"),
-            ((model,
-              str(fault_counts[model].get("fault.inject", 0)),
-              str(fault_counts[model].get("fault.recover", 0)))
-             for model in sorted(fault_counts))))
+            ((model, count(f"faults_injected.{model}"),
+              count(f"faults_recovered.{model}"))
+             for model in models)))
         lines.append("")
 
-    # ------------------------------------------------------------------
-    # protocol phase spans (phase.exit carries the duration; sleep spans
-    # come from radio.wake)
-    # ------------------------------------------------------------------
-    phase_stats: Dict[str, Dict[str, object]] = {}
-
-    def _span(phase: str, duration: float, outcome: str) -> None:
-        stats = phase_stats.setdefault(
-            phase, {"count": 0, "total": 0.0, "outcomes": {}})
-        stats["count"] = int(stats["count"]) + 1  # type: ignore[arg-type]
-        stats["total"] = float(stats["total"]) + duration  # type: ignore[arg-type]
-        outcomes = stats["outcomes"]
-        assert isinstance(outcomes, dict)
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-
-    for event in events:
-        topic = event["topic"]
-        if topic == "phase.exit":
-            _span(str(event["phase"]), float(event["duration_s"]),  # type: ignore[arg-type]
-                  str(event["outcome"]))
-        elif topic == "radio.wake":
-            _span("sleep", float(event["slept_s"]),  # type: ignore[arg-type]
-                  "lpl" if event.get("lpl") else "full")
     lines.append("protocol phase spans")
-    if phase_stats:
-        rows = []
-        for phase in sorted(phase_stats):
-            stats = phase_stats[phase]
-            count = int(stats["count"])  # type: ignore[arg-type]
-            total = float(stats["total"])  # type: ignore[arg-type]
-            outcomes = stats["outcomes"]
-            assert isinstance(outcomes, dict)
-            breakdown = " ".join(f"{name}={outcomes[name]}"
-                                 for name in sorted(outcomes))
-            rows.append((phase, str(count), _fmt(total),
-                         _fmt(total / count), breakdown))
+    spans: Mapping[str, Mapping[str, Any]] = tracker.summary()
+    if spans:
         lines.extend(_table(
-            ("phase", "count", "total_s", "mean_s", "outcomes"), rows))
+            ("phase", "count", "total_s", "mean_s", "outcomes"),
+            ((phase, str(stats["count"]), _fmt(stats["total_s"]),
+              _fmt(stats["mean_s"]),
+              " ".join(f"{name}={n}" for name, n in stats["outcomes"].items()))
+             for phase, stats in spans.items())))
     else:
         lines.append("  (no phase spans)")
     lines.append("")
 
-    # ------------------------------------------------------------------
-    # contacts
-    # ------------------------------------------------------------------
-    starts = sum(1 for e in events if e["topic"] == "contact.start")
-    ends = [e for e in events if e["topic"] == "contact.end"]
     lines.append("contacts")
-    lines.append(f"  started: {starts}  ended: {len(ends)}")
-    if ends:
-        durations = [float(e["time"]) - float(e["started"])  # type: ignore[arg-type]
-                     for e in ends]
-        lines.append(
-            f"  mean duration: {_fmt(sum(durations) / len(durations))} s")
+    lines.append(f"  started: {count('contacts_started')}  "
+                 f"ended: {count('contacts_ended')}")
+    if "contact_duration_s" in histograms:
+        lines.append(f"  mean duration: {mean('contact_duration_s')} s")
     lines.append("")
 
-    # ------------------------------------------------------------------
-    # deliveries
-    # ------------------------------------------------------------------
-    generated = sum(1 for e in events if e["topic"] == "message.generated")
-    delivered = [e for e in events if e["topic"] == "message.delivered"]
+    generated = counters.get("messages_generated", 0)
+    delivered = counters.get("messages_delivered", 0)
     lines.append("deliveries")
-    lines.append(f"  generated: {generated}  delivered: {len(delivered)}")
+    lines.append(f"  generated: {generated}  delivered: {delivered}")
     if delivered:
-        delays = [float(e["delay_s"]) for e in delivered]  # type: ignore[arg-type]
-        hops = [int(e["hops"]) for e in delivered]  # type: ignore[arg-type]
-        lines.append(f"  mean delay: {_fmt(sum(delays) / len(delays))} s  "
-                     f"mean hops: {_fmt(sum(hops) / len(hops))}")
+        lines.append(f"  mean delay: {mean('delivery_delay_s')} s  "
+                     f"mean hops: {mean('delivery_hops')}")
         if generated:
-            lines.append(
-                f"  delivery ratio: {_fmt(len(delivered) / generated)}")
+            lines.append(f"  delivery ratio: {_fmt(delivered / generated)}")
     lines.append("")
     return "\n".join(lines)
