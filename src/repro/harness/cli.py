@@ -393,7 +393,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     events = []
     for path in files:
-        events.extend(read_trace(path))
+        try:
+            events.extend(read_trace(path))
+        except ValueError as exc:
+            print(f"malformed trace: {exc}", file=sys.stderr)
+            return 1
     if len(files) > 1:
         print(f"(merged {len(files)} trace files from {root})",
               file=sys.stderr)
