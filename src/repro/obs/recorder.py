@@ -2,8 +2,8 @@
 
 :class:`TraceRecorder` is a telemetry-bus subscriber: it listens on the
 ``frame.tx`` / ``frame.rx`` / ``frame.collision`` topics and keeps a
-bounded in-memory ring of :class:`TraceEvent` records with the query
-helpers the protocol-inspection tooling builds on.  The report helpers
+bounded in-memory ring of those bus events with the query helpers the
+protocol-inspection tooling builds on.  The report helpers
 below summarize a message's journey ("message 17: origin 42 -> relay 61
 -> sink 1"), per-node activity, and channel occupancy.
 """
@@ -11,9 +11,9 @@ below summarize a message's journey ("message 17: origin 42 -> relay 61
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import (
@@ -23,31 +23,10 @@ from repro.obs.events import (
     TelemetryEvent,
 )
 
+#: The bus events a :class:`TraceRecorder` keeps.
+FrameEvent = Union[FrameTx, FrameRx, FrameCollision]
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event.
-
-    ``kind`` values: ``tx`` (frame sent), ``rx`` (frame decoded),
-    ``col`` (frame corrupted at a receiver).
-    """
-
-    time: float
-    kind: str
-    node: int
-    frame_kind: str
-    src: int
-    dst: Optional[int]
-    message_id: Optional[int] = None
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        dst = "*" if self.dst is None else str(self.dst)
-        mid = "" if self.message_id is None else f" msg={self.message_id}"
-        return (f"{self.time:10.3f}  {self.kind:<3} node={self.node:<4} "
-                f"{self.frame_kind:<9} {self.src}->{dst}{mid}")
-
-
-#: Bus topic -> legacy single-word event kind.
+#: Bus topic -> single-word event kind (``tx`` / ``rx`` / ``col``).
 _KIND_BY_TOPIC = {
     FrameTx.topic: "tx",
     FrameRx.topic: "rx",
@@ -75,7 +54,7 @@ class TraceRecorder:
     ) -> None:
         if max_events < 1:
             raise ValueError("need room for at least one event")
-        self.events: Deque[TraceEvent] = deque(maxlen=max_events)
+        self.events: Deque[FrameEvent] = deque(maxlen=max_events)
         # Events carry the kind's string value; matching on ``.value``
         # keeps this module free of radio imports (ARCH001).
         self._kinds: Optional[FrozenSet[str]] = (
@@ -88,22 +67,20 @@ class TraceRecorder:
         assert isinstance(event, (FrameTx, FrameRx, FrameCollision))
         if self._kinds is not None and event.frame_kind not in self._kinds:
             return
-        self.events.append(TraceEvent(
-            event.time, _KIND_BY_TOPIC[event.topic], event.node,
-            event.frame_kind, event.src, event.dst, event.message_id))
+        self.events.append(event)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def of_kind(self, kind: str) -> List[TraceEvent]:
+    def of_kind(self, kind: str) -> List[FrameEvent]:
         """Events of one kind ('tx' / 'rx' / 'col')."""
-        return [e for e in self.events if e.kind == kind]
+        return [e for e in self.events if _KIND_BY_TOPIC[e.topic] == kind]
 
-    def for_message(self, message_id: int) -> List[TraceEvent]:
+    def for_message(self, message_id: int) -> List[FrameEvent]:
         """Events carrying a given message id."""
         return [e for e in self.events if e.message_id == message_id]
 
-    def for_node(self, node_id: int) -> List[TraceEvent]:
+    def for_node(self, node_id: int) -> List[FrameEvent]:
         """Events observed at a given node."""
         return [e for e in self.events if e.node == node_id]
 
@@ -119,9 +96,9 @@ def message_journey(recorder: TraceRecorder, message_id: int) -> str:
         return f"message {message_id}: no recorded DATA activity"
     lines = [f"message {message_id}:"]
     for e in events:
-        if e.kind == "tx":
+        if isinstance(e, FrameTx):
             lines.append(f"  {e.time:9.2f}s  node {e.src} multicasts")
-        elif e.kind == "rx":
+        elif isinstance(e, FrameRx):
             lines.append(f"  {e.time:9.2f}s  node {e.node} receives "
                          f"(from {e.src})")
         else:
@@ -146,7 +123,7 @@ def channel_usage(recorder: TraceRecorder) -> Dict[str, int]:
     """Frame counts by (event kind, frame kind)."""
     usage: Dict[str, int] = defaultdict(int)
     for e in recorder.events:
-        usage[f"{e.kind}:{e.frame_kind}"] += 1
+        usage[f"{_KIND_BY_TOPIC[e.topic]}:{e.frame_kind}"] += 1
     return dict(usage)
 
 
