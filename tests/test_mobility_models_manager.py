@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import EventScheduler
 from repro.mobility import (
@@ -212,5 +214,68 @@ class TestGridBinning:
         for nid in range(len(coords)):
             expected = sorted(
                 other for other in range(len(coords))
-                if other != nid and mgr.in_range(nid, other))
+                if other != nid
+                and math.dist(coords[nid], coords[other]) <= 7.5)
             assert sorted(mgr.neighbors_of(nid)) == expected
+
+
+class TestIncrementalIndexProperty:
+    """After any sequence of steps the incrementally maintained grid
+    equals a from-scratch binning, and neighbor lists keep the
+    documented scan order."""
+
+    # Same ``x * (1 / r)`` as the kernel, so a coordinate on a cell
+    # boundary bins identically on both sides of the comparison.
+    @staticmethod
+    def _key(x, y, comm_range):
+        inv = 1.0 / comm_range
+        return math.floor(x * inv), math.floor(y * inv)
+
+    def _fresh_cells(self, positions, comm_range):
+        cells = {}
+        for row, (x, y) in enumerate(positions.tolist()):
+            key = self._key(x, y, comm_range)
+            cells.setdefault(key, []).append(row)
+        return cells
+
+    def _brute_neighbors(self, mgr, nid, comm_range):
+        # 3 x 3 cells in (gx, gy) order, ascending id within a cell.
+        pos = mgr.positions.tolist()
+        i = mgr._index_of[nid]
+        x, y = pos[i]
+        cx, cy = self._key(x, y, comm_range)
+        out = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for row, (px, py) in enumerate(pos):
+                    if row == i:
+                        continue
+                    if self._key(px, py, comm_range) != (gx, gy):
+                        continue
+                    dx, dy = px - x, py - y
+                    if dx * dx + dy * dy <= comm_range * comm_range:
+                        out.append(mgr.node_ids[row])
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_nodes=st.integers(2, 40),
+           n_steps=st.integers(1, 15),
+           comm_range=st.sampled_from([5.0, 10.0, 17.5]),
+           speed_max=st.floats(0.0, 8.0))
+    def test_incremental_index_matches_fresh_binning(
+            self, seed, n_nodes, n_steps, comm_range, speed_max):
+        rng = random.Random(seed)
+        area = Area(60, 60)
+        sink = StationaryMobility([0], area, rng=rng)
+        walkers = RandomWalkMobility(list(range(1, n_nodes)), area, rng,
+                                     speed_min=0.0, speed_max=speed_max)
+        mgr = MobilityManager(EventScheduler(), area, [sink, walkers],
+                              comm_range=comm_range)
+        for _ in range(n_steps):
+            mgr.step(1.0)
+            assert mgr._cells == self._fresh_cells(mgr.positions,
+                                                   comm_range)
+            for nid in mgr.node_ids:
+                assert mgr.neighbors_of(nid) == self._brute_neighbors(
+                    mgr, nid, comm_range)
