@@ -4,9 +4,7 @@ Constant-density scale points (:func:`scale_config` keeps the paper's
 node density and sink fraction while growing the area), the
 :func:`measure_scale` / :func:`run_scale_suite` throughput probes, and
 the ``BENCH_scale.json`` report format used by the ``bench-scale`` CI
-job.  The kernel tuning knobs these benchmarks exercise live on
-:class:`repro.api.sim.SimulationConfig` (``neighbor_cache``,
-``spatial_index``); see ``docs/API.md``, section "Scaling".
+job; see ``docs/API.md``, section "Scaling".
 
 Every name here is also importable from flat ``repro.api`` (the
 compatibility surface); see ``docs/API.md`` for the deprecation policy.

@@ -14,13 +14,11 @@ Three scaling mechanisms keep 10k-node runs routine (PR 8):
   Python loop, and static models (stationary sinks) are gathered once;
 * **incremental re-binning** — cell keys for all nodes come from one
   vectorized ``floor``; only the nodes whose key actually changed are
-  moved between cells (``spatial_index="rebuild"`` restores the
-  historical full rebuild — results are identical either way);
+  moved between cells;
 * **per-tick neighbor memoization** — :meth:`neighbors_of` /
   :meth:`neighbor_set` answers are cached until the next :meth:`step`,
   so the medium's per-frame scans stop re-deriving the same contact
-  set (``neighbor_cache=False`` disables the cache; again results are
-  identical, only slower).
+  set.
 
 All of it is provably order-preserving: neighbor lists keep the
 historical 3 x 3 cell-scan order (cells in ``(cx-1..cx+1, cy-1..cy+1)``
@@ -38,12 +36,6 @@ import numpy as np
 from repro.des.scheduler import EventScheduler
 from repro.mobility.base import Area, MobilityModel
 
-#: Per-cell occupancy above which the neighbor scan switches from the
-#: scalar distance loop to a vectorized one for that cell.  At constant
-#: density a grid cell holds only a handful of nodes and the scalar
-#: loop wins; dense hot spots amortize numpy's per-call cost.
-_VECTOR_THRESHOLD = 32
-
 
 class MobilityManager:
     """Drives mobility models and indexes node positions."""
@@ -55,20 +47,14 @@ class MobilityManager:
         models: Sequence[MobilityModel],
         comm_range: float = 10.0,
         tick_s: float = 1.0,
-        neighbor_cache: bool = True,
-        spatial_index: str = "incremental",
     ) -> None:
         if comm_range <= 0 or tick_s <= 0:
             raise ValueError("comm_range and tick_s must be positive")
-        if spatial_index not in ("incremental", "rebuild"):
-            raise ValueError(f"unknown spatial_index {spatial_index!r}")
         self._scheduler = scheduler
         self.area = area
         self.models = list(models)
         self.comm_range = comm_range
         self.tick_s = tick_s
-        self.neighbor_cache = neighbor_cache
-        self.spatial_index = spatial_index
 
         ids: List[int] = []
         for model in self.models:
@@ -131,10 +117,7 @@ class MobilityManager:
             model.step(dt)
         self._gather()
         self._pos_list = None
-        if self.spatial_index == "incremental":
-            self._update_index()
-        else:
-            self._rebuild_index()
+        self._update_index()
         if self._nbr_lists:
             self._nbr_lists = {}
             self._nbr_sets = {}
@@ -157,8 +140,7 @@ class MobilityManager:
         return np.floor(self.positions * self._inv_range).astype(np.int64)
 
     def _rebuild_index(self) -> None:
-        """Full re-bin of every node (initial build / ``"rebuild"`` mode)."""
-        self._cells.clear()
+        """Bin every node from scratch (the initial build)."""
         keys = self._compute_cell_keys()
         self._cell_keys = keys
         pairs = keys.tolist()
@@ -211,14 +193,7 @@ class MobilityManager:
 
     def in_range(self, a: int, b: int) -> bool:
         """Whether two nodes are within communication range."""
-        if a == b:
-            return True
-        if self.neighbor_cache:
-            return b in self.neighbor_set(a)
-        ia, ib = self._index_of[a], self._index_of[b]
-        dx = self.positions[ia, 0] - self.positions[ib, 0]
-        dy = self.positions[ia, 1] - self.positions[ib, 1]
-        return dx * dx + dy * dy <= self._range_sq
+        return a == b or b in self.neighbor_set(a)
 
     def neighbors_of(self, node_id: int) -> List[int]:
         """Ids of all nodes within range (grid-indexed lookup).
@@ -232,8 +207,7 @@ class MobilityManager:
         if cached is not None:
             return cached
         result = self._scan_neighbors(node_id)
-        if self.neighbor_cache:
-            self._nbr_lists[node_id] = result
+        self._nbr_lists[node_id] = result
         return result
 
     def neighbor_set(self, node_id: int) -> FrozenSet[int]:
@@ -247,8 +221,7 @@ class MobilityManager:
         if cached is not None:
             return cached
         result = frozenset(self.neighbors_of(node_id))
-        if self.neighbor_cache:
-            self._nbr_sets[node_id] = result
+        self._nbr_sets[node_id] = result
         return result
 
     def _scan_neighbors(self, node_id: int) -> List[int]:
@@ -268,14 +241,6 @@ class MobilityManager:
             for gy in (cy - 1, cy, cy + 1):
                 bucket = cells.get((gx, gy))
                 if bucket is None:
-                    continue
-                if len(bucket) >= _VECTOR_THRESHOLD:
-                    d = self.positions[bucket] - self.positions[i]
-                    mask = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-                            <= range_sq)
-                    for keep, row in zip(mask.tolist(), bucket):
-                        if keep and row != i:
-                            append(ids[row])
                     continue
                 for row in bucket:
                     if row == i:

@@ -60,17 +60,6 @@ class SimulationConfig(PlainData):
     #: supplies its inline plan when ``plan_path`` is unset.
     scenario: Optional[ScenarioSpec] = None
 
-    # --- kernel tuning ----------------------------------------------------------
-    # Both knobs are result-neutral: a seeded run yields a byte-identical
-    # ``SimulationResult.to_dict()`` for every combination; they only
-    # trade memory for speed at scale (see docs/API.md, "Scaling").
-    #: Memoize neighbor lists/sets between mobility ticks.
-    neighbor_cache: bool = True
-    #: Spatial-index maintenance: ``"incremental"`` re-bins only nodes
-    #: that crossed a grid-cell boundary; ``"rebuild"`` re-bins all
-    #: nodes every tick (the historical behaviour).
-    spatial_index: str = "incremental"
-
     # --- traffic / channel ----------------------------------------------------
     mean_arrival_s: float = 120.0
     message_bits: int = 1000
@@ -157,8 +146,6 @@ class SimulationConfig(PlainData):
             raise ValueError("queue capacity must be at least 1")
         if self.invariant_interval_s <= 0:
             raise ValueError("invariant check interval must be positive")
-        if self.spatial_index not in ("incremental", "rebuild"):
-            raise ValueError(f"unknown spatial index {self.spatial_index!r}")
 
     # ------------------------------------------------------------------
     # derived pieces

@@ -187,8 +187,6 @@ class Simulation:
             return MobilityManager(
                 self.scheduler, self.area, [plan_model],
                 comm_range=cfg.comm_range_m, tick_s=cfg.mobility_tick_s,
-                neighbor_cache=cfg.neighbor_cache,
-                spatial_index=cfg.spatial_index,
             )
         sink_rng = self.streams.stream("sink-placement")
         if cfg.sink_mobility == "mobile":
@@ -236,8 +234,6 @@ class Simulation:
         return MobilityManager(
             self.scheduler, self.area, [sink_model, sensor_model],
             comm_range=cfg.comm_range_m, tick_s=cfg.mobility_tick_s,
-            neighbor_cache=cfg.neighbor_cache,
-            spatial_index=cfg.spatial_index,
         )
 
     def _grid_positions(self, n: int) -> List[Tuple[float, float]]:

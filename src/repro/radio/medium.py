@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Callable,
     Dict,
     Iterable,
     Optional,
@@ -42,28 +41,13 @@ class NeighborProvider(Protocol):
         """Ids of all nodes currently within communication range."""
         ...
 
+    def neighbor_set(self, node_id: int) -> AbstractSet[int]:
+        """The ids of :meth:`neighbors_of` as a set."""
+        ...
+
     def in_range(self, a: int, b: int) -> bool:
         """Whether nodes ``a`` and ``b`` are currently within range."""
         ...
-
-
-def _neighbor_set_fn(
-    neighbors: NeighborProvider,
-) -> Callable[[int], AbstractSet[int]]:
-    """Set-valued neighbor lookup, synthesized if the provider lacks one.
-
-    :class:`~repro.mobility.manager.MobilityManager` exposes a memoized
-    ``neighbor_set``; the fallback (for minimal providers in tests or
-    extensions) derives an equivalent set per call from ``neighbors_of``.
-    """
-    native = getattr(neighbors, "neighbor_set", None)
-    if native is not None:
-        return native  # type: ignore[no-any-return]
-
-    def derived(node_id: int) -> AbstractSet[int]:
-        return frozenset(neighbors.neighbors_of(node_id))
-
-    return derived
 
 
 class RadioFaultHook(Protocol):
@@ -132,7 +116,7 @@ class WirelessMedium:
         self._scheduler = scheduler
         self.timing = timing
         self._neighbors = neighbors
-        self._neighbor_set = _neighbor_set_fn(neighbors)
+        self._neighbor_set = neighbors.neighbor_set
         self._radios: Dict[int, "Transceiver"] = {}
         # In-flight transmissions keyed by source id.  A radio must be
         # LISTENING to transmit and only returns to LISTENING after its

@@ -174,9 +174,9 @@ PIN_SCENARIO = ScenarioSpec(name="pin", mobility="plan", n_sensors=4,
 
 #: sha256 of ``json.dumps(...to_dict())`` of the two pinned runs below.
 AGGREGATE_SHA256 = (
-    "64f377da109c05075bf704e4b5cda672d1cbb8794c913fdeaa81818f53377603")
+    "56049681eeec7eeb8bdbe1a4b988e5d228b23752a8b225b86f3dde8f34fa5cf1")
 CAMPAIGN_SHA256 = (
-    "71075bad603869a34b40e5b72a995f8a6c00cdcf063fa3c1c9114d69a8d412a6")
+    "09299052cd0fca44ba24d6f29a274da3f6e087cbf34c6a0fa13aeb889a5a78d0")
 
 
 def _sha(text):
@@ -193,13 +193,13 @@ def _no_wall_clock(aggregate):
 class TestFormatPins:
     @pytest.mark.parametrize("kind, config, expected", [
         ("packet", SimulationConfig(),
-         "5751bfb73b96e4a0627ae74470a9a6c33853f9d29a0af39db1b3e7cc0f6a89d3"),
+         "7a5bc95d5418febb1bb5f53fdede51365846ecaa48af4370405035428de8832d"),
         ("packet", SimulationConfig(
             protocol="noopt", seed=5, duration_s=300.0, n_sensors=6,
             n_sinks=1, params=ProtocolParameters.noopt(alpha=0.3),
             faults=(FaultSpec("outages", intensity=0.25, end_s=200.0),),
             scenario=PIN_SCENARIO),
-         "b8778b84a29f2af09401039fbf5585e3261ef55baa878da416d7f1d379034acb"),
+         "182b0f210296c7b4e2208eeb0ab067a06254e51331cbefff94e2fa3236015857"),
         ("contact", ContactSimConfig(
             policy="fad", seed=4, duration_s=100.0, n_sensors=4, n_sinks=1,
             scenario=PIN_SCENARIO),
@@ -261,7 +261,7 @@ def _every_field_instances():
     config = _perturbed(
         SimulationConfig, protocol="zbr", sink_placement="grid",
         sink_mobility="mobile", mobility_model="plan",
-        spatial_index="rebuild", plan_path="pin.plan", scenario=scenario,
+        plan_path="pin.plan", scenario=scenario,
         trace_path="pin.jsonl", faults=(fault,), params=params)
     contact_config = _perturbed(
         ContactSimConfig, policy="spray", trace_path="pin.jsonl",
