@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Regenerate tests/data/contact_goldens.json (contact-level goldens).
 
-The goldens pin, for every contact policy at a seeded run on the paper
-topology (1000 s; epidemic 200 s), plus one satellite-pass plan replay:
+The goldens pin, for every contact policy at a seeded 1000 s run on the
+paper topology, plus one satellite-pass plan replay:
 
 * every :class:`ContactSimResult` field except ``config``;
 * the sha256 of ``collector.delays()`` and of the per-node state (each
@@ -35,16 +35,14 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "contact_goldens.json"
 #: Seed of every golden run (the benchmark's first contact-fad replicate).
 SEED = 1000
 
-#: Simulated seconds per policy.  Epidemic's offer scan is quadratic in
-#: the buffer, so its run is shorter: 1000 s costs ~160 s of CPU.
-DURATION_S = {"epidemic": 200.0}
+#: Simulated seconds of every policy's run.
+DURATION_S = 1000.0
 
 
 def golden_configs():
     """Golden name -> config: each policy, then one plan replay."""
-    configs = {policy: ContactSimConfig(
-                   policy=policy, seed=SEED,
-                   duration_s=DURATION_S.get(policy, 1000.0))
+    configs = {policy: ContactSimConfig(policy=policy, seed=SEED,
+                                        duration_s=DURATION_S)
                for policy in sorted(contact_policy_names())}
     configs["satellite-pass/fad"] = scenario_contact_config(
         get_scenario("satellite-pass"), policy="fad", seed=3)
