@@ -107,6 +107,15 @@ def test_neighbor_queries(benchmark):
     benchmark(run)
 
 
+def test_pairs_in_range(benchmark):
+    """One-call in-range pair query (the contact scan's per-tick cost)."""
+    sched = EventScheduler()
+    area = Area(150, 150)
+    model = ZoneGridMobility(list(range(100)), area, random.Random(3))
+    mgr = MobilityManager(sched, area, [model], comm_range=10.0)
+    benchmark(mgr.pairs_in_range)
+
+
 def test_simulation_telemetry_off(benchmark):
     """Full reduced-scale run on the default (telemetry-disabled) path.
 

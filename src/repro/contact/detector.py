@@ -9,7 +9,9 @@ contact trace for analysis) or drive the contact-level simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.mobility.manager import MobilityManager
 from repro.obs.bus import TelemetryBus
@@ -47,9 +49,10 @@ class ContactTracer:
     def __init__(self, mobility: MobilityManager) -> None:
         self._mobility = mobility
         self._bus: Optional[TelemetryBus] = None
-        # Open contacts keyed by the (a, b) pair with a < b; tuples sort
-        # directly, so the scan needs no per-pair re-sorting.
+        # Open contacts keyed by the (a, b) pair with a < b, and the same
+        # pairs as the manager's sorted pair codes (last scan's answer).
         self._active: Dict[Tuple[int, int], float] = {}
+        self._codes = np.zeros(0, dtype=np.int64)
         self.contacts: List[Contact] = []
 
     def subscribe(self, bus: TelemetryBus) -> None:
@@ -62,31 +65,29 @@ class ContactTracer:
         return {frozenset(pair) for pair in self._active}
 
     def scan(self, now: float) -> None:
-        """Compare the current in-range pairs against the active set."""
-        current: Set[Tuple[int, int]] = set()
-        for node in self._mobility.node_ids:
-            for other in self._mobility.neighbors_of(node):
-                if other > node:
-                    current.add((node, other))
+        """Compare the current in-range pairs against the active set.
 
-        # One symmetric difference over already-sorted pairs, iterated in
-        # sorted order: set iteration order is hash-dependent (DET003),
-        # and the start/end events feed the contact-level simulator's
-        # scheduling.  Starts are processed before ends, as always.
-        changed = sorted(current.symmetric_difference(self._active))
+        One :meth:`~repro.mobility.manager.MobilityManager.pairs_in_range`
+        query per tick; the starts and ends are two sorted differences
+        against the previous tick's codes, so only the pairs that changed
+        reach Python.  Starts are processed before ends, each in sorted
+        pair order: the events feed the contact-level simulator's
+        scheduling.
+        """
+        codes = self._mobility.pairs_in_range()
+        previous = self._codes
+        self._codes = codes
+        ids = self._mobility.node_ids
+        n = len(ids)
         bus = self._bus
-        for pair in changed:
-            if pair not in current:
-                continue
-            self._active[pair] = now
-            a, b = pair
+        for code in _missing_from(codes, previous).tolist():
+            a, b = ids[code // n], ids[code % n]
+            self._active[(a, b)] = now
             if bus is not None:
                 bus.emit(ContactStart(time=now, a=a, b=b))
-        for pair in changed:
-            if pair in current:
-                continue
-            started = self._active.pop(pair)
-            a, b = pair
+        for code in _missing_from(previous, codes).tolist():
+            a, b = ids[code // n], ids[code % n]
+            started = self._active.pop((a, b))
             self.contacts.append(Contact(a, b, started, now))
             if bus is not None:
                 bus.emit(ContactEnd(time=now, a=a, b=b, started=started))
@@ -95,12 +96,9 @@ class ContactTracer:
         """Advance mobility to ``duration`` and return completed contacts."""
         if duration <= 0 or tick <= 0:
             raise ValueError("duration and tick must be positive")
-        now = 0.0
-        self.scan(now)
-        while now < duration:
-            step = min(tick, duration - now)
-            self._mobility.step(step)
-            now += step
+        self.scan(0.0)
+        for now, dt in tick_times(duration, tick):
+            self._mobility.step(dt)
             self.scan(now)
         self.close(duration)
         return self.contacts
@@ -114,6 +112,36 @@ class ContactTracer:
             if bus is not None:
                 bus.emit(ContactEnd(time=now, a=a, b=b, started=started))
         self._active.clear()
+        self._codes = np.zeros(0, dtype=np.int64)
+
+
+def _missing_from(codes: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The entries of sorted ``codes`` that sorted ``other`` lacks.
+
+    One binary search per entry; ``np.setdiff1d`` re-sorts both arrays
+    and costs about twice as much at contact-level sizes.
+    """
+    if not other.size:
+        return codes
+    at = np.minimum(np.searchsorted(other, codes), other.size - 1)
+    return codes[other[at] != codes]
+
+
+def tick_times(duration: float,
+               tick: float) -> Iterator[Tuple[float, float]]:
+    """``(instant, step)`` of each tick after 0, up to ``duration``.
+
+    Tick ``k`` falls at ``min(k * tick, duration)``: derived from the
+    count, not accumulated, so no rounding residue adds a sliver tick
+    (``duration=1.0, tick=0.1`` is exactly 10 ticks, the last at 1.0).
+    """
+    k, last = 1, 0.0
+    while True:
+        now = min(k * tick, duration)
+        yield now, now - last
+        if now >= duration:
+            return
+        k, last = k + 1, now
 
 
 def contact_statistics(contacts: List[Contact]) -> Dict[str, float]:

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.checks.tolerance import THRESHOLD_EPS
 from repro.codec import PlainData, require_finite
-from repro.contact.detector import Contact, ContactTracer
+from repro.contact.detector import Contact, ContactTracer, tick_times
 from repro.contact.policies import ContactPolicy
 from repro.core.message import DataMessage, MessageCopy
 from repro.des.rng import RandomStreams
@@ -365,12 +365,9 @@ class ContactSimulation:
         """Advance mobility tick by tick, exchanging at contact ends."""
         cfg = self.config
         assert self.mobility is not None and self._tracer is not None
-        now = 0.0
-        self._tracer.scan(now)
-        while now < cfg.duration_s:
-            step = min(cfg.tick_s, cfg.duration_s - now)
-            self.mobility.step(step)
-            now += step
+        self._tracer.scan(0.0)
+        for now, dt in tick_times(cfg.duration_s, cfg.tick_s):
+            self.mobility.step(dt)
             self._flush_arrivals(now)
             self._tracer.scan(now)
         self._tracer.close(cfg.duration_s)

@@ -7,7 +7,7 @@ communication range, so :meth:`neighbors_of` only scans the 3 x 3 cell
 neighborhood.  It implements the medium's
 :class:`~repro.radio.medium.NeighborProvider` interface.
 
-Three scaling mechanisms keep 10k-node runs routine (PR 8):
+Four mechanisms keep 10k-node runs routine:
 
 * **batched gather** — per-model position blocks are copied into the
   global array with one fancy-indexed assignment instead of a per-node
@@ -18,12 +18,17 @@ Three scaling mechanisms keep 10k-node runs routine (PR 8):
 * **per-tick neighbor memoization** — :meth:`neighbors_of` /
   :meth:`neighbor_set` answers are cached until the next :meth:`step`,
   so the medium's per-frame scans stop re-deriving the same contact
-  set.
+  set;
+* **one pair query per tick** — :meth:`pairs_in_range` returns every
+  in-range pair from one numpy pass over the same grid cells, for
+  callers (the contact tracer) that want the whole contact set rather
+  than one node's neighbors.
 
 All of it is provably order-preserving: neighbor lists keep the
 historical 3 x 3 cell-scan order (cells in ``(cx-1..cx+1, cy-1..cy+1)``
 order, ascending node id within a cell), which the seeded byte-identical
-guarantee rests on (LPL wake events are scheduled in that order).
+guarantee rests on (LPL wake events are scheduled in that order).  The
+pair query reports a pair exactly when it is in :meth:`neighbors_of`.
 """
 
 from __future__ import annotations
@@ -83,13 +88,16 @@ class MobilityManager:
         #: Vectorized cell key of every row (kept across ticks so the
         #: incremental update only touches rows whose key changed).
         self._cell_keys = np.zeros((n, 2), dtype=np.int64)
-        #: Python mirror of ``_cell_keys`` ([x, y] per row): the scan
-        #: path reads single keys, where list access beats numpy scalar
-        #: extraction by an order of magnitude.
-        self._key_list: List[List[int]] = [[0, 0]] * n
-        #: Lazily refreshed ``positions.tolist()`` for the same reason;
-        #: None marks it stale (rebuilt on first scan after a step).
-        self._pos_list: Optional[List[List[float]]] = None
+        #: Python column mirrors of ``_cell_keys``: the scan path reads
+        #: single keys, where list access beats numpy scalar extraction
+        #: by an order of magnitude.  Flat lists of ints, unlike one
+        #: ``[x, y]`` list per row, allocate no GC-tracked containers.
+        self._kx: List[int] = [0] * n
+        self._ky: List[int] = [0] * n
+        #: Lazily refreshed position columns for the same reasons; None
+        #: marks them stale (rebuilt on the first scan after a step).
+        self._xs: Optional[List[float]] = None
+        self._ys: List[float] = []
         self._range_sq = comm_range * comm_range
         self._inv_range = 1.0 / comm_range
         self._nbr_lists: Dict[int, List[int]] = {}
@@ -116,7 +124,7 @@ class MobilityManager:
         for model in self.models:
             model.step(dt)
         self._gather()
-        self._pos_list = None
+        self._xs = None
         self._update_index()
         if self._nbr_lists:
             self._nbr_lists = {}
@@ -143,11 +151,10 @@ class MobilityManager:
         """Bin every node from scratch (the initial build)."""
         keys = self._compute_cell_keys()
         self._cell_keys = keys
-        pairs = keys.tolist()
-        self._key_list = pairs
+        self._kx = keys[:, 0].tolist()
+        self._ky = keys[:, 1].tolist()
         cells = self._cells
-        for row, (kx, ky) in enumerate(pairs):
-            key = (kx, ky)
+        for row, key in enumerate(zip(self._kx, self._ky)):
             bucket = cells.get(key)
             if bucket is None:
                 cells[key] = [row]
@@ -163,25 +170,27 @@ class MobilityManager:
         self._cell_keys = keys
         if not changed.size:
             return
-        # Bulk-convert only the changed rows; the key mirror is patched
+        # Bulk-convert only the changed rows; the key mirrors are patched
         # in place (unchanged rows already carry the right values).
-        new_pairs = keys[changed].tolist()
-        key_list = self._key_list
+        moved = keys[changed]
+        kx, ky = self._kx, self._ky
         cells = self._cells
-        for pair, row in zip(new_pairs, changed.tolist()):
-            ox, oy = key_list[row]
-            bucket = cells[(ox, oy)]
+        for row, nx, ny in zip(changed.tolist(), moved[:, 0].tolist(),
+                               moved[:, 1].tolist()):
+            old_key = (kx[row], ky[row])
+            bucket = cells[old_key]
             if len(bucket) == 1:
-                del cells[(ox, oy)]
+                del cells[old_key]
             else:
                 bucket.remove(row)
-            new_key = (pair[0], pair[1])
+            new_key = (nx, ny)
             new_bucket = cells.get(new_key)
             if new_bucket is None:
                 cells[new_key] = [row]
             else:
                 insort(new_bucket, row)
-            key_list[row] = pair
+            kx[row] = nx
+            ky[row] = ny
 
     # ------------------------------------------------------------------
     # NeighborProvider interface
@@ -226,12 +235,13 @@ class MobilityManager:
 
     def _scan_neighbors(self, node_id: int) -> List[int]:
         i = self._index_of[node_id]
-        pos = self._pos_list
-        if pos is None:
-            pos = self.positions.tolist()
-            self._pos_list = pos
-        x, y = pos[i]
-        cx, cy = self._key_list[i]
+        xs, ys = self._xs, self._ys
+        if xs is None:
+            xs = self.positions[:, 0].tolist()
+            ys = self.positions[:, 1].tolist()
+            self._xs, self._ys = xs, ys
+        x, y = xs[i], ys[i]
+        cx, cy = self._kx[i], self._ky[i]
         cells = self._cells
         ids = self._ids_of_row
         range_sq = self._range_sq
@@ -245,9 +255,52 @@ class MobilityManager:
                 for row in bucket:
                     if row == i:
                         continue
-                    px, py = pos[row]
-                    dx = px - x
-                    dy = py - y
+                    dx = xs[row] - x
+                    dy = ys[row] - y
                     if dx * dx + dy * dy <= range_sq:
                         append(ids[row])
         return result
+
+    def pairs_in_range(self) -> np.ndarray:
+        """Every in-range pair, as sorted int64 codes ``row_a * n + row_b``.
+
+        Rows are in node-id order, so ``a = node_ids[code // n]`` and
+        ``b = node_ids[code % n]`` with ``a < b``, and the codes sort as
+        the ``(a, b)`` pairs do.  A pair is reported exactly when ``b in
+        neighbors_of(a)``: the query reads the same grid cells and
+        evaluates the same ``dx * dx + dy * dy <= range ** 2`` (a
+        negated difference squares to the same bits).  Each row meets
+        the later rows of its own cell and every row of the four forward
+        cells ``(x, y + 1)`` and ``(x + 1, y - 1 .. y + 1)``, so every
+        candidate pair of the 3 x 3 neighborhood is tested once.
+        """
+        n = len(self._ids_of_row)
+        if n < 2:
+            return np.zeros(0, dtype=np.int64)
+        # One int id per cell, x-major: y is shifted into [1, width - 2],
+        # so y - 1 and y + 1 stay inside the same column of ids.
+        keys = self._cell_keys
+        ky = keys[:, 1]
+        y_min = int(ky.min())
+        width = int(ky.max()) - y_min + 3
+        cell = keys[:, 0] * width + (ky - (y_min - 1))
+        order = np.argsort(cell, kind="stable")
+        sorted_cell = cell[order]
+        offsets = np.array([0, 1, width - 1, width, width + 1])
+        targets = (sorted_cell + offsets[:, None]).ravel()
+        lo = np.searchsorted(sorted_cell, targets, "left")
+        hi = np.searchsorted(sorted_cell, targets, "right")
+        lo[:n] = np.arange(1, n + 1)  # own cell: only the later rows
+        counts = hi - lo
+        firsts = np.cumsum(counts) - counts
+        a = np.repeat(np.tile(order, len(offsets)), counts)
+        within = np.arange(int(counts.sum()))
+        b = order[np.repeat(lo - firsts, counts) + within]
+        pos = self.positions
+        dx = pos[b, 0] - pos[a, 0]
+        dy = pos[b, 1] - pos[a, 1]
+        keep = dx * dx + dy * dy <= self._range_sq
+        a, b = a[keep], b[keep]
+        codes = np.minimum(a, b) * n + np.maximum(a, b)
+        codes.sort()
+        return codes

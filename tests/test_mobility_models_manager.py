@@ -279,3 +279,35 @@ class TestIncrementalIndexProperty:
             for nid in mgr.node_ids:
                 assert mgr.neighbors_of(nid) == self._brute_neighbors(
                     mgr, nid, comm_range)
+            assert self._decoded_pairs(mgr) == sorted(
+                (a, b) for a in mgr.node_ids
+                for b in mgr.neighbors_of(a) if b > a)
+
+    @staticmethod
+    def _decoded_pairs(mgr):
+        n = len(mgr.node_ids)
+        codes = mgr.pairs_in_range().tolist()
+        assert codes == sorted(set(codes))
+        return [(mgr.node_ids[c // n], mgr.node_ids[c % n]) for c in codes]
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_pairs_in_range_without_pairs(self, n_nodes):
+        area = Area(60, 60)
+        models = [StationaryMobility([0], area, positions=[(3.0, 4.0)])]
+        mgr = MobilityManager(EventScheduler(), area, models[:n_nodes])
+        assert mgr.pairs_in_range().size == 0
+        mgr.step(1.0)
+        assert mgr.pairs_in_range().size == 0
+
+    def test_pairs_in_range_across_origin(self):
+        rng = random.Random(7)
+        coords = [(rng.choice([-10.0, 0.0, 10.0, rng.uniform(-30, 30)]),
+                   rng.choice([-20.0, 0.0, rng.uniform(-30, 30)]))
+                  for _ in range(80)]
+        area = Area(60, 60)
+        model = _FixedPositions(list(range(0, 160, 2)), area, coords)
+        mgr = MobilityManager(EventScheduler(), area, [model],
+                              comm_range=10.0)
+        assert self._decoded_pairs(mgr) == sorted(
+            (a, b) for a in mgr.node_ids
+            for b in mgr.neighbors_of(a) if b > a)
