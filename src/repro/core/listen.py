@@ -9,38 +9,32 @@ smallest value keeping the analytic collision probability (Eq. 10-12)
 under the configured target, computed from the delivery probabilities in
 the node's neighbor table.
 
-Each Eq. 13 probe evaluates Eq. 10-12 in ``O(m^2 * tau_max)`` (``m``
-sums over at most ``tau_max`` slots, each a product over the other
-``m - 1`` members), and the search makes ``O(log tau_cap)`` probes;
-since its *input* (the cell's xi population) drifts slowly, results are
-memoized on quantized, sorted xi tuples and the cell considered is
-capped at the strongest contenders — the collision probability
-saturates well before the table's capacity anyway.
+The search makes ``O(log tau_cap)`` probes, each deciding whether
+Eq. 10-12 meet the target with an early-exit bound on ``sum_i P_i``
+(:func:`repro.analysis.collision.min_tau_max_fast`): most probes in a
+paper-scale run settle within a few slots, at ``O(m)`` per slot.  The
+cell's xi values are rounded to two decimals and the cell is capped at
+its strongest contenders — the collision probability saturates well
+before the table's capacity anyway.  The search is re-run at most once
+per :attr:`ListenPolicy.reoptimize_interval_s` and keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterable
 
 from repro.analysis.collision import min_tau_max_fast, sigma_slots  # lint: disable=ARCH001 (pure-math leaf, docs/CHECKS.md)
 from repro.core.params import ProtocolParameters
 
-#: xi values are rounded to this many decimals for the memoization key;
-#: a 0.01 perturbation moves the Eq. 13 optimum by at most one slot.
+#: xi values are rounded to this many decimals before the search; a 0.01
+#: perturbation moves the Eq. 13 optimum by at most one slot.
 _XI_QUANTUM_DECIMALS = 2
 
 #: Only the ``m`` lowest-sigma (most contention-prone) cell members are
 #: fed to the search; extra high-xi members barely change the optimum.
 _MAX_CELL = 12
-
-
-@lru_cache(maxsize=16384)
-def _cached_min_tau_max(
-    xis: Tuple[float, ...], threshold: float, tau_cap: int
-) -> int:
-    return min_tau_max_fast(list(xis), threshold, tau_cap)
 
 
 class ListenPolicy:
@@ -59,13 +53,14 @@ class ListenPolicy:
     def update_tau_max(
         self,
         own_xi: float,
-        neighbor_xis: Sequence[float],
+        neighbor_xis: Iterable[float],
         now: float = 0.0,
     ) -> int:
         """Re-run the Eq. 13 search against the current cell population.
 
         No-op (returns the fixed value) when adaptation is disabled, and
-        rate-limited to once per :attr:`reoptimize_interval_s`.
+        rate-limited to once per :attr:`reoptimize_interval_s`;
+        ``neighbor_xis`` is only iterated when the search runs.
         """
         if not self._params.adaptive_tau:
             return self.tau_max
@@ -75,9 +70,8 @@ class ListenPolicy:
         cell = sorted(
             round(xi, _XI_QUANTUM_DECIMALS) for xi in (own_xi, *neighbor_xis)
         )[:_MAX_CELL]
-        self.tau_max = _cached_min_tau_max(
-            tuple(cell), self._params.collision_target,
-            self._params.tau_cap_slots,
+        self.tau_max = min_tau_max_fast(
+            cell, self._params.collision_target, self._params.tau_cap_slots,
         )
         self.optimizations += 1
         return self.tau_max

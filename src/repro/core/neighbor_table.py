@@ -11,7 +11,7 @@ feeds the two Sec. 4 parameter optimizations: the cell population for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 
 @dataclass
@@ -69,15 +69,14 @@ class NeighborTable:
             del self._entries[nid]
 
     def entries(self, now: float) -> List[NeighborEntry]:
-        """Live entries (expires as a side effect)."""
+        """Live entries (expires as a side effect); their ``xi`` values
+        are the cell population of the Eq. 13 ``tau_max`` search."""
         self.expire(now)
         return list(self._entries.values())
 
-    def known_xis(self, now: float) -> List[float]:
-        """Delivery probabilities of live neighbors (for Eq. 13)."""
-        return [e.xi for e in self.entries(now)]
 
-    def expected_responders(self, own_xi: float, now: float) -> int:
-        """Estimated qualified-receiver count for the Eq. 14 ``W`` search:
-        live neighbors advertising a strictly higher ``xi``."""
-        return sum(1 for e in self.entries(now) if e.xi > own_xi)
+def expected_responders(entries: Iterable[NeighborEntry],
+                        own_xi: float) -> int:
+    """Estimated qualified-receiver count for the Eq. 14 ``W`` search:
+    neighbors among ``entries`` advertising a strictly higher ``xi``."""
+    return sum(1 for e in entries if e.xi > own_xi)

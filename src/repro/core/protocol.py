@@ -27,7 +27,7 @@ from repro.core.delivery import DeliveryProbabilityEstimator
 from repro.core.ftd import receiver_copy_ftd, sender_ftd_after_multicast
 from repro.core.listen import ListenPolicy
 from repro.core.message import DataMessage, MessageCopy
-from repro.core.neighbor_table import NeighborTable
+from repro.core.neighbor_table import NeighborTable, expected_responders
 from repro.core.params import ProtocolParameters
 from repro.core.queue import FtdQueue
 from repro.core.selection import Candidate, select_receivers
@@ -404,16 +404,14 @@ class MacAgent:
         if head is None or self.state is not AgentState.LISTEN:
             return
         now = self.scheduler.now
-        expected = self.neighbor_table.expected_responders(
-            self.advertised_metric(), now
-        )
+        own_xi = self.advertised_metric()
+        live = self.neighbor_table.entries(now)
         self._rts_window = self.contention_policy.window_slots(
-            max(expected, self._responder_hint)
+            max(expected_responders(live, own_xi), self._responder_hint)
         )
-        self.listen_policy.update_tau_max(
-            self.advertised_metric(), self.neighbor_table.known_xis(now), now
-        )
-        rts = Rts(self.node_id, xi=self.advertised_metric(), ftd=head.ftd,
+        # A generator: the rate-limited search usually never reads it.
+        self.listen_policy.update_tau_max(own_xi, (e.xi for e in live), now)
+        rts = Rts(self.node_id, xi=own_xi, ftd=head.ftd,
                   window_slots=self._rts_window,
                   message_id=head.message_id)
         self.stats.rts_sent += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.neighbor_table import NeighborTable
+from repro.core.neighbor_table import NeighborTable, expected_responders
 
 
 def test_observe_and_lookup():
@@ -36,7 +36,7 @@ def test_known_xis_for_eq13():
     table = NeighborTable(ttl_s=60.0)
     table.observe(1, 0.2, now=0.0)
     table.observe(2, 0.8, now=0.0)
-    assert sorted(table.known_xis(now=1.0)) == [0.2, 0.8]
+    assert sorted(e.xi for e in table.entries(now=1.0)) == [0.2, 0.8]
 
 
 def test_expected_responders_counts_higher_xi_only():
@@ -44,8 +44,9 @@ def test_expected_responders_counts_higher_xi_only():
     table.observe(1, 0.2, now=0.0)
     table.observe(2, 0.6, now=0.0)
     table.observe(3, 0.9, now=0.0, is_sink=True)
-    assert table.expected_responders(own_xi=0.5, now=1.0) == 2
-    assert table.expected_responders(own_xi=0.95, now=1.0) == 0
+    live = table.entries(now=1.0)
+    assert expected_responders(live, own_xi=0.5) == 2
+    assert expected_responders(live, own_xi=0.95) == 0
 
 
 def test_capacity_evicts_oldest():
