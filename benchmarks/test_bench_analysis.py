@@ -12,6 +12,7 @@ from repro.analysis import (
     rts_collision_probability,
     sigma_slots,
 )
+from repro.checks.tolerance import tolerant_le
 
 
 def test_tau_max_search_table(benchmark):
@@ -29,10 +30,12 @@ def test_tau_max_search_table(benchmark):
     # Monotone: more contenders need a longer listen window.
     taus = list(table.values())
     assert all(a <= b for a, b in zip(taus, taus[1:]))
-    # And each result actually meets the target.
+    # And each result actually meets the target, by the search's own
+    # round-off-tolerant test: at m = 2, tau = 19 the sigmas are [10, 10]
+    # and gamma is 1/10 on paper but 0.1 + 9e-17 in floats.
     for m, tau in table.items():
         sigmas = [sigma_slots(0.5, tau)] * m
-        assert rts_collision_probability(sigmas) <= 0.1
+        assert tolerant_le(rts_collision_probability(sigmas), 0.1)
 
 
 def test_contention_window_search_table(benchmark):

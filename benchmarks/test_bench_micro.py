@@ -7,6 +7,7 @@ dispatch, queue operations and neighbor queries).
 
 import random
 
+from repro.analysis import min_tau_max_fast
 from repro.core.message import DataMessage, MessageCopy
 from repro.core.queue import FtdQueue
 from repro.core.ftd import receiver_copy_ftd, sender_ftd_after_multicast
@@ -22,6 +23,26 @@ from repro.obs.events import FrameTx
 #: two timings differ only in the telemetry flag.
 _TELEMETRY_BENCH = dict(protocol="opt", n_sensors=20, n_sinks=2,
                         duration_s=400.0, seed=9)
+
+
+#: Eq. 13 search inputs recorded from the paper-opt benchmark workload
+#: (seed 1000), as the listen policy builds them: sorted, 0.01-quantized
+#: xi cells, the 0.1 collision target and the 64-slot cap.  A full
+#: 12-member cell cannot reach the target within the cap; every 12-member
+#: search of that run returns the cap after one probe.  The largest cells
+#: that do converge there have 9 members.
+_CAPPED_CELL = [0.2, 0.28, 0.32, 0.37, 0.48, 0.57, 0.59, 0.63, 0.65, 0.71,
+                0.75, 1.0]
+_CONVERGING_CELL = [0.54, 0.62, 0.63, 0.66, 0.69, 0.79, 0.86, 0.94, 1.0]
+
+
+def test_tau_max_search(benchmark):
+    """Eq. 13 binary search on a capped and a converging paper-opt cell."""
+    def run():
+        return (min_tau_max_fast(_CAPPED_CELL, 0.1, 64),
+                min_tau_max_fast(_CONVERGING_CELL, 0.1, 64))
+
+    assert benchmark(run) == (64, 60)
 
 
 def test_event_scheduler_throughput(benchmark):
