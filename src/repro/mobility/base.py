@@ -39,8 +39,8 @@ class MobilityModel(abc.ABC):
     """
 
     #: Whether :meth:`step` can ever change :attr:`positions`.  Static
-    #: models (sinks bolted to walls) let the manager skip gathering and
-    #: re-binning their nodes on every tick.
+    #: models (sinks bolted to walls) let the manager skip gathering
+    #: their nodes on every tick.
     is_static: bool = False
 
     def __init_subclass__(cls, **kwargs: object) -> None:
