@@ -5,6 +5,7 @@ the simulator itself (the full-scale Fig. 2 sweep is dominated by event
 dispatch, queue operations and neighbor queries).
 """
 
+import math
 import random
 
 from repro.analysis import min_tau_max_fast
@@ -14,6 +15,7 @@ from repro.core.ftd import receiver_copy_ftd, sender_ftd_after_multicast
 from repro.des import EventScheduler
 from repro.mobility import Area, MobilityManager, ZoneGridMobility
 from repro.des.rng import RandomStreams
+from repro.harness.bench import PAPER_DENSITY
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
 from repro.obs.bus import TelemetryBus
@@ -126,6 +128,26 @@ def test_neighbor_queries(benchmark):
         return total
 
     benchmark(run)
+
+
+def test_neighbor_index_tick(benchmark):
+    """One scale-3k tick: a step, then the grid rebuilt by the first query.
+
+    3,000 zone-mobile nodes at the paper's density with the 30 m zones
+    of the scaling configuration; every node asks for its neighbors.
+    """
+    n = 3000
+    side = math.sqrt(n / PAPER_DENSITY)
+    area = Area(side, side)
+    model = ZoneGridMobility(list(range(n)), area, random.Random(4),
+                             zones_per_side=round(side / 30.0))
+    mgr = MobilityManager(EventScheduler(), area, [model], comm_range=10.0)
+
+    def run():
+        mgr.step(1.0)
+        return sum(len(mgr.neighbors_of(node)) for node in range(n))
+
+    assert benchmark(run) > 0
 
 
 def test_pairs_in_range(benchmark):
