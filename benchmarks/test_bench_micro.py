@@ -114,6 +114,27 @@ def test_zone_mobility_step(benchmark):
     benchmark(run)
 
 
+def test_zone_mobility_step_3k(benchmark):
+    """One-second mobility tick at the scale-3k geometry.
+
+    3,000 nodes at the paper's density in 30 m zones: hundreds of rows
+    cross a zone boundary each tick, where the 100-node field has a
+    dozen.
+    """
+    n = 3000
+    side = math.sqrt(n / PAPER_DENSITY)
+    model = ZoneGridMobility(list(range(n)), Area(side, side),
+                             random.Random(2),
+                             zones_per_side=round(side / 30.0))
+
+    def run():
+        for _ in range(5):
+            model.step(1.0)
+        return model.positions.sum()
+
+    benchmark(run)
+
+
 def test_neighbor_queries(benchmark):
     """Grid-indexed neighbor lookup at the paper's density."""
     sched = EventScheduler()

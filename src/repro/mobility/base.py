@@ -30,6 +30,36 @@ class Area:
         return rng.uniform(0.0, self.width), rng.uniform(0.0, self.height)
 
 
+def reflect(p: float, v: float, limit: float) -> Tuple[float, float]:
+    """One coordinate and its velocity, reflected back into ``[0, limit]``.
+
+    A coordinate inside the interval comes back unchanged.
+    """
+    if p < 0.0:
+        p = -p
+    elif p > limit:
+        p = 2.0 * limit - p
+    else:
+        return p, v
+    # A pathological velocity could still leave the area after one
+    # reflection; clamp as a safety net.
+    if p > limit:
+        p = limit
+    elif p < 0.0:
+        p = 0.0
+    return p, -v
+
+
+def flat_view(a: np.ndarray) -> memoryview:
+    """The elements of a C-contiguous array, flat, as a writable memoryview.
+
+    Reading an element gives a plain Python number and writing one goes
+    straight to the array, each far cheaper than indexing the array.
+    A non-contiguous array raises ``TypeError``.
+    """
+    return memoryview(a).cast("B").cast(a.dtype.char)
+
+
 class MobilityModel(abc.ABC):
     """A mobility model owns the positions of a set of node ids.
 
@@ -58,6 +88,7 @@ class MobilityModel(abc.ABC):
         self.node_ids: List[int] = list(node_ids)
         self.area = area
         self.positions = np.zeros((len(self.node_ids), 2), dtype=float)
+        self._limits = np.array([area.width, area.height])
 
     @abc.abstractmethod
     def step(self, dt: float) -> None:
@@ -71,15 +102,17 @@ class MobilityModel(abc.ABC):
     def _reflect_into_area(self, pos: np.ndarray, vel: np.ndarray) -> None:
         """Reflect positions (and velocities) at the outer area boundary.
 
-        Operates in place on matching ``(n, 2)`` arrays.
+        Operates in place on matching ``(n, 2)`` arrays.  Only the rows
+        outside the area are touched, each through :func:`reflect`.
         """
-        for axis, limit in ((0, self.area.width), (1, self.area.height)):
-            below = pos[:, axis] < 0.0
-            above = pos[:, axis] > limit
-            pos[below, axis] = -pos[below, axis]
-            pos[above, axis] = 2.0 * limit - pos[above, axis]
-            flip = below | above
-            vel[flip, axis] = -vel[flip, axis]
-            # A pathological velocity could still leave the area after one
-            # reflection; clamp as a safety net.
-            np.clip(pos[:, axis], 0.0, limit, out=pos[:, axis])
+        out = pos < 0.0
+        out |= pos > self._limits
+        rows = (out[:, 0] | out[:, 1]).nonzero()[0]
+        if not rows.size:
+            return
+        width, height = self.area.width, self.area.height
+        p, v = flat_view(pos), flat_view(vel)
+        for i in rows.tolist():
+            kx, ky = 2 * i, 2 * i + 1
+            p[kx], v[kx] = reflect(p[kx], v[kx], width)
+            p[ky], v[ky] = reflect(p[ky], v[ky], height)
