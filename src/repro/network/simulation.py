@@ -262,10 +262,10 @@ class Simulation:
     def _build_sensors(self) -> None:
         cfg = self.config
         agent_cls = cfg.agent_class
+        drop_threshold = cfg.queue_drop_threshold()
         for nid in cfg.sensor_ids:
             radio = Transceiver(nid, self.medium, self.scheduler, BERKELEY_MOTE)
-            queue = FtdQueue(cfg.queue_capacity,
-                             drop_threshold=cfg.queue_drop_threshold())
+            queue = FtdQueue(cfg.queue_capacity, drop_threshold=drop_threshold)
             agent = agent_cls(
                 nid, radio, self.scheduler, self.params,
                 self.streams.stream(f"mac:{nid}"), queue,
