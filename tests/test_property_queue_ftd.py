@@ -215,14 +215,18 @@ class TestDeliveryEstimatorProperties:
     @settings(max_examples=100, deadline=None)
     def test_xi_stays_in_unit_interval(self, initial, steps):
         params = ProtocolParameters()
-        est = DeliveryProbabilityEstimator(params, EventScheduler(),
-                                           initial_xi=initial)
+        sched = EventScheduler()
+        est = DeliveryProbabilityEstimator(params, sched, initial_xi=initial)
+        est.start()
         for is_timeout, xis in steps:
             if is_timeout:
-                est._on_timeout()  # the Eq. 1 decay branch
+                # The Eq. 1 decay branch: Delta passes without a
+                # transmission (the decay clock restarts at every step).
+                sched.run_until(sched.now + params.xi_timeout_s)
             else:
                 est.on_transmission(xis)
             assert 0.0 <= est.xi <= 1.0
+        assert est.timeouts == sum(1 for is_timeout, _ in steps if is_timeout)
 
     @given(probability, st.lists(probability, min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
