@@ -7,6 +7,14 @@ Runs the constant-density ladder (``repro.api.bench``) and writes the
 always shows before/after side by side (the committed baseline was
 measured on the pre-vectorization kernel, same machine, back-to-back).
 
+Events/sec counts scheduler events, not simulated work.  Since a frame
+ends in one event (the medium's end-of-frame event also finishes the
+sender) and the Eq. 1 decay is applied lazily instead of by a timer,
+the same seeded run fires about a third fewer events with identical
+results.  A report from an older kernel is therefore not comparable:
+generate any committed ``BENCH_scale.json``, and any baseline, on this
+kernel or later.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/scale_report.py

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Callable,
     Dict,
     Iterable,
     Optional,
@@ -94,12 +95,16 @@ class MediumStats:
 class _Transmission:
     """Bookkeeping for one in-flight frame."""
 
-    __slots__ = ("frame", "src", "end", "audience", "corrupted")
+    __slots__ = ("frame", "radio", "src", "end", "on_done", "audience",
+                 "corrupted")
 
-    def __init__(self, frame: Frame, src: int, end: float) -> None:
+    def __init__(self, frame: Frame, radio: "Transceiver", end: float,
+                 on_done: Optional[Callable[[], None]]) -> None:
         self.frame = frame
-        self.src = src
+        self.radio = radio
+        self.src = radio.node_id
         self.end = end
+        self.on_done = on_done
         self.audience: Set[int] = set()
         self.corrupted: Set[int] = set()
 
@@ -119,8 +124,8 @@ class WirelessMedium:
         self._neighbor_set = neighbors.neighbor_set
         self._radios: Dict[int, "Transceiver"] = {}
         # In-flight transmissions keyed by source id.  A radio must be
-        # LISTENING to transmit and only returns to LISTENING after its
-        # own end-of-frame callback, so a source can never have two
+        # LISTENING to transmit and only returns to LISTENING at its own
+        # frame's end (_end_transmission), so a source can never have two
         # frames in flight — the key is unique by construction.  Dict
         # insertion order matches the old list's append order, keeping
         # every iteration over active transmissions byte-identical.
@@ -193,18 +198,25 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def begin_transmission(self, radio: "Transceiver", frame: Frame) -> float:
+    def begin_transmission(
+        self,
+        radio: "Transceiver",
+        frame: Frame,
+        on_done: Optional[Callable[[], None]] = None,
+    ) -> float:
         """Start broadcasting ``frame`` from ``radio``; returns airtime (s).
 
         The audience (receivers able to decode) is fixed at transmission
         start: in range, awake and not themselves transmitting.  Nodes
         joining mid-frame (e.g. waking up) cannot decode it, which matches
-        preamble-synchronized radios.
+        preamble-synchronized radios.  One event ends the frame: it
+        serves the audience, then hands the sender back ``on_done``
+        through :meth:`Transceiver.end_transmission`.
         """
         size = frame.size_bits(self.timing.control_bits)
         duration = self.timing.airtime_s(size)
         now = self._scheduler.now
-        tx = _Transmission(frame, radio.node_id, now + duration)
+        tx = _Transmission(frame, radio, now + duration, on_done)
 
         wakes_sleepers = frame.kind is FrameKind.PREAMBLE
         fault_hook = self._fault_hook
@@ -307,3 +319,8 @@ class WirelessMedium:
                         dst=frame.dst,
                         message_id=getattr(frame, "message_id", None)))
                 radio.deliver(frame)
+        # The sender's frame ends after its audience is served, with the
+        # sender still TRANSMITTING while they run.  Work a receiver
+        # scheduled at this instant runs later: at priority 0 it has a
+        # later sequence number, and no receiver schedules below 0.
+        tx.radio.end_transmission(tx.on_done)

@@ -153,22 +153,17 @@ class Transceiver:
         """Broadcast ``frame``; returns the airtime in seconds.
 
         The radio transmits for the frame's airtime, then returns to
-        listening and invokes ``on_done``.
+        listening and invokes ``on_done`` (from the medium's end-of-frame
+        event, after the frame's audience has been served).
         """
         if self._state is RadioState.SLEEPING:
             raise RadioError(f"node {self.node_id}: transmit while asleep")
         if self._state is RadioState.TRANSMITTING:
             raise RadioError(f"node {self.node_id}: already transmitting")
         self._set_state(RadioState.TRANSMITTING)
-        duration = self._medium.begin_transmission(self, frame)
+        duration = self._medium.begin_transmission(self, frame, on_done)
         self.frames_sent += 1
-        self._scheduler.schedule(duration, self._tx_done, on_done)
         return duration
-
-    def _tx_done(self, on_done: Optional[Callable[[], None]]) -> None:
-        self._set_state(RadioState.LISTENING)
-        if on_done is not None:
-            on_done()
 
     # ------------------------------------------------------------------
     # medium callbacks
@@ -184,6 +179,12 @@ class Transceiver:
         self.collisions_heard += 1
         if self.on_collision is not None:
             self.on_collision(frame)
+
+    def end_transmission(self, on_done: Optional[Callable[[], None]]) -> None:
+        """Called by the medium when this radio's own frame has ended."""
+        self._set_state(RadioState.LISTENING)
+        if on_done is not None:
+            on_done()
 
     def finalize(self) -> None:
         """Flush energy accounting at the end of a run."""

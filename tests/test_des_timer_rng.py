@@ -1,6 +1,14 @@
-"""Unit tests for timers and named random streams."""
+"""Unit tests for the reference timer and named random streams.
 
-from repro.des import EventScheduler, RandomStreams, Timer
+The simulator has no timer object any more: the Eq. 1 decay, its one
+user, is applied lazily.  ``TestTimer`` pins the restartable timer that
+the decay's reference property (``test_property_delivery_reference``)
+replays the old estimator on, so that reference stays faithful.
+"""
+
+from repro.des import EventScheduler, RandomStreams
+
+from tests.test_property_delivery_reference import ReferenceTimer as Timer
 
 
 class TestTimer:
