@@ -165,8 +165,3 @@ def two_hop_expected_delay(n_relays: int, pair_rate: float,
         total = infection[i] + absorption[i]
         expected[i] = (1.0 + infection[i] * expected[i + 1]) / total
     return float(expected[0])
-
-
-def delivery_ratio_with_ttl(expected_cdf: float) -> float:
-    """Identity helper kept for symmetry in reports (ratio == CDF@TTL)."""
-    return min(1.0, max(0.0, expected_cdf))

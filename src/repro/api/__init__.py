@@ -24,8 +24,8 @@ working unchanged:
 
 New code should prefer the namespaced imports
 (``from repro.api.sim import run_simulation``); the flat surface is the
-compatibility boundary and never shrinks.  The facade lint (API001-003)
-enforces that every flat name resolves and originates in exactly one
+compatibility boundary and never shrinks.  ``tests/test_api_facade.py``
+checks that every flat name resolves and originates in exactly one
 sub-facade.
 """
 
@@ -161,7 +161,7 @@ from repro.api.sim import (
 )
 
 #: The flat compatibility surface: the exact disjoint union of the
-#: sub-facade ``__all__`` lists (enforced by lint rule API003).
+#: sub-facade ``__all__`` lists (checked by ``tests/test_api_facade.py``).
 __all__ = [
     # sim
     "ProtocolParameters",

@@ -2,12 +2,11 @@
 
 Three coordinated layers (see ``docs/CHECKS.md``):
 
-* the static-analysis engine (``dftmsn lint``) — a two-pass,
-  project-aware lint guarding the determinism, float-safety, telemetry,
-  facade, serialization and layering conventions the reproduction
-  relies on (:mod:`repro.checks.engine` drives it over the
-  :mod:`repro.checks.project` model and the :mod:`repro.checks.rules`
-  registry);
+* the static-analysis engine (``dftmsn lint``) — a per-module lint
+  guarding the determinism, float-safety, substream, fault-scheduling,
+  telemetry and protocol-registry conventions the reproduction relies
+  on (:mod:`repro.checks.engine` runs the :mod:`repro.checks.rules`
+  registry over each module);
 * :mod:`repro.checks.invariants` — a runtime checker asserting the
   paper's protocol invariants (Eq. 1-3, queue order, buffer bounds,
   clock monotonicity, message-copy conservation) during a run;

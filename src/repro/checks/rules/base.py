@@ -1,26 +1,15 @@
 """Shared plumbing of the lint rules: findings and rule bases.
 
-Two rule shapes exist (see ``docs/CHECKS.md``):
-
-* :class:`Rule` — a per-module AST visitor (pass 2 of the engine runs
-  one instance per linted module).  It may consult the pass-1
-  :class:`~repro.checks.project.ProjectModel` through its
-  :class:`RuleContext` when one is available, but must degrade
-  gracefully to single-module evidence when linting a snippet.
-* :class:`ProjectRule` — a whole-project rule that only makes sense
-  against the pass-1 model (facade consistency, layering contracts,
-  serialization completeness).  It returns full :class:`Finding`
-  objects because one rule may report into many files.
+Every rule is a :class:`Rule`, a per-module AST visitor: the engine
+runs one instance per linted module, with what it knows about that
+module in a :class:`RuleContext` (see ``docs/CHECKS.md``).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checks.project import ProjectModel
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -51,8 +40,6 @@ class RuleContext:
     module: Optional[str] = None
     #: Whether the module carries the deterministic-simulation contract.
     sim: bool = False
-    #: Pass-1 project model, when linting a whole tree (else ``None``).
-    model: Optional["ProjectModel"] = None
 
 
 #: One raw per-module violation: (line, col, message).
@@ -71,7 +58,7 @@ class Rule(ast.NodeVisitor):
     rule_id: str = ""
     #: Whether the rule only applies inside simulation modules (the
     #: ``SIM_PACKAGES`` / ``SIM_MODULES`` enrollment in
-    #: :mod:`repro.checks.project`).
+    #: :mod:`repro.checks.engine`).
     sim_only: bool = False
 
     def __init__(self, context: Optional[RuleContext] = None) -> None:
@@ -89,17 +76,6 @@ class Rule(ast.NodeVisitor):
         self.found = []
         self.visit(tree)
         return self.found
-
-
-class ProjectRule:
-    """Base whole-project rule: checks the pass-1 model directly."""
-
-    rule_id: str = ""
-    sim_only: bool = False
-
-    def check_project(self, model: "ProjectModel") -> List[Finding]:
-        """Return this rule's findings over the whole project."""
-        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +120,9 @@ class _ClassScope:
 class FaultScopeRule(Rule):
     """A rule that needs to know when it is inside a ``FaultModel`` subclass.
 
-    Without a project model, only a *direct* base literally named
-    ``FaultModel`` is recognized; with one, transitive subclassing
-    resolved by pass 1 counts too.
+    Only a *direct* base literally named ``FaultModel`` is recognized;
+    ``tests/test_checks_rules.py`` asserts that every fault model in
+    ``repro`` names it so.
     """
 
     def __init__(self, context: Optional[RuleContext] = None) -> None:
@@ -154,15 +130,7 @@ class FaultScopeRule(Rule):
         self._class_stack: List[_ClassScope] = []
 
     def _bases_mark_fault_model(self, node: ast.ClassDef) -> bool:
-        base_names = {terminal_name(b) for b in node.bases}
-        if "FaultModel" in base_names:
-            return True
-        model = self.context.model
-        if model is not None:
-            fault_classes = model.subclass_names("FaultModel")
-            return any(name in fault_classes
-                       for name in base_names if name is not None)
-        return False
+        return any(terminal_name(b) == "FaultModel" for b in node.bases)
 
     def in_fault_model(self) -> bool:
         """Whether the visitor currently sits inside a fault-model class."""

@@ -12,8 +12,10 @@ from repro.checks.rules.base import Rule, terminal_name
 def _registered_protocol_names() -> FrozenSet[str]:
     """The live registry's names, resolved at lint time.
 
-    Imported lazily so that importing the checks engine never drags the
-    simulator packages in (the engine lints arbitrary source snippets).
+    This imports :mod:`repro.protocols` (and the simulator packages it
+    builds on) the first time REG001 checks a literal: the one place the
+    lint imports project code.  The import is deferred so that importing
+    the checks engine alone does not.
     """
     from repro.protocols import protocol_names
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from repro.analysis.collision import min_contention_window  # lint: disable=ARCH001 (pure-math leaf, docs/CHECKS.md)
+from repro.analysis.collision import min_contention_window
 from repro.core.params import ProtocolParameters
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from repro.analysis.collision import min_tau_max_fast, sigma_slots  # lint: disable=ARCH001 (pure-math leaf, docs/CHECKS.md)
+from repro.analysis.collision import min_tau_max_fast, sigma_slots
 from repro.core.params import ProtocolParameters
 
 #: xi values are rounded to this many decimals before the search; a 0.01

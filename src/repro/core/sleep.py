@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.analysis.sleep_bounds import max_sleep_period  # lint: disable=ARCH001 (pure-math leaf, docs/CHECKS.md)
+from repro.analysis.sleep_bounds import max_sleep_period
 from repro.core.params import ProtocolParameters
 
 

@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "every run (workers inherit the flag)")
 
     lint_p = sub.add_parser(
-        "lint", help="run the project-aware static-analysis engine "
+        "lint", help="run the per-module static-analysis engine "
                      "(see docs/CHECKS.md)")
     lint_p.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "

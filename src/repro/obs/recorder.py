@@ -56,7 +56,7 @@ class TraceRecorder:
             raise ValueError("need room for at least one event")
         self.events: Deque[FrameEvent] = deque(maxlen=max_events)
         # Events carry the kind's string value; matching on ``.value``
-        # keeps this module free of radio imports (ARCH001).
+        # keeps this module free of radio imports (tests/test_layering.py).
         self._kinds: Optional[FrozenSet[str]] = (
             frozenset(k.value for k in frame_kinds) if frame_kinds else None)
         bus.subscribe(FrameTx.topic, self._on_frame_event)
