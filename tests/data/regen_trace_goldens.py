@@ -7,9 +7,12 @@ carries two fault models, so its trace holds every packet-level topic:
 ``fault.inject``/``fault.recover`` (including the network-wide radio
 impairment with ``node=None``), broadcast frames with ``dst=None``,
 ``queue.drop`` (purge and threshold), LPL sleep/wake, collisions and
-deliveries.  ``tests/test_trace_goldens.py`` replays the run, asserts
-the bytes and the topic set, so a change to the trace writers that is
-meant to be byte-neutral must keep them.  Regenerate only after an
+deliveries.  The goldens also pin the sha256 of the run's
+``result.telemetry`` (the metrics snapshot and the span summary), which
+both formats' runs must reproduce.  ``tests/test_trace_goldens.py``
+replays the run, asserts the bytes, the telemetry and the topic set, so
+a change to the trace writers or the metric feeders that is meant to be
+byte-neutral must keep them.  Regenerate only after an
 intentional, understood change to the trace format or to seeded
 semantics.  The invariant checker adds no events, so the bytes are the
 same with it on or off::
@@ -40,11 +43,20 @@ TRACE_CONFIG = dict(
 FORMATS = {"jsonl": "trace.jsonl", "csv": "trace.csv"}
 
 
+def run_traced(directory, fmt):
+    """Run :data:`TRACE_CONFIG` traced in format ``fmt``.
+
+    Returns the trace file path and the run's ``result.telemetry``.
+    """
+    path = pathlib.Path(directory) / FORMATS[fmt]
+    result = Simulation(SimulationConfig(trace_path=str(path),
+                                         **TRACE_CONFIG)).run()
+    return path, result.telemetry
+
+
 def write_trace(directory, fmt):
     """Run :data:`TRACE_CONFIG` traced in format ``fmt``; the file path."""
-    path = pathlib.Path(directory) / FORMATS[fmt]
-    Simulation(SimulationConfig(trace_path=str(path), **TRACE_CONFIG)).run()
-    return path
+    return run_traced(directory, fmt)[0]
 
 
 def sha256(path):
@@ -52,11 +64,19 @@ def sha256(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+def telemetry_sha256(telemetry):
+    """sha256 of a ``result.telemetry`` dict as canonical JSON."""
+    text = json.dumps(telemetry, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main() -> None:
     goldens = {}
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in FORMATS:
-            goldens[f"{fmt}_sha256"] = sha256(write_trace(tmp, fmt))
+            path, telemetry = run_traced(tmp, fmt)
+            goldens[f"{fmt}_sha256"] = sha256(path)
+            goldens["telemetry_sha256"] = telemetry_sha256(telemetry)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True)
                            + "\n")
     print(f"wrote {GOLDEN_PATH}")

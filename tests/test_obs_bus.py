@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -139,6 +140,21 @@ class TestMetrics:
         assert h.counts == [1, 1, 1]
         assert h.mean() == pytest.approx(55.5 / 3)
         assert Histogram().mean() is None
+
+    @pytest.mark.parametrize("value, bucket", [
+        (1.0, 0),            # equal to a bound: that bound's bucket
+        (10.0, 1),
+        (0.5, 0),            # below the first bound
+        (50.0, 2),           # above the last: the overflow bucket
+        (-math.inf, 0),
+        (math.inf, 2),
+        (math.nan, 2),       # compares false with every bound
+    ])
+    def test_histogram_bucket_edges(self, value, bucket):
+        h = Histogram(bounds=(1.0, 10.0))
+        h.observe(value)
+        assert h.counts == [int(i == bucket) for i in range(3)]
+        assert h.count == 1
 
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):

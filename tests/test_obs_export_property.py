@@ -8,16 +8,25 @@ every event class and drawn field values, the bytes must agree, and
 ``read_trace`` must give back ``event_to_dict(event)``.  The schema has
 one source, ``EVENT_TYPES``, and ``event_from_dict`` inverts
 ``event_to_dict`` directly and through each trace format.
+
+A second JSONL strategy draws values an event's annotations do not
+promise (NaN, infinities, huge ints, a bool in an int field, ``None``
+in a non-Optional field, numpy scalars, control characters): the line
+must still equal the reference, and a value json cannot encode must
+raise ``TypeError`` as the reference does.
 """
 
 import csv
 import dataclasses
 import io
 import json
+import math
 import tempfile
 import typing
 from pathlib import Path
 
+import numpy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +73,41 @@ csv_events = st.one_of([
     _event_strategy(cls, {**FIELD_STRATEGIES, str: st.text(min_size=1,
                                                             max_size=12)})
     for cls in EVENT_CLASSES])
+
+
+big_ints = (st.integers(min_value=2**63, max_value=2**80)
+            | st.integers(min_value=-2**80, max_value=-2**63 - 1))
+
+#: Per annotation, values outside what the annotation promises, mixed
+#: with ones inside it; every non-Optional field may also draw ``None``.
+OFF_TYPE_STRATEGIES = {
+    float: (st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+            | ids | big_ints
+            | st.floats().map(numpy.float64)
+            | st.none()),
+    int: ids | big_ints | st.booleans() | st.none(),
+    bool: st.booleans() | st.none(),
+    str: (st.text(max_size=12)
+          | st.sampled_from(["\x00\x1f\n\t\"\\", "caf\u00e9 \u2603",
+                             "\u2028\U0001f600", "\x7f"])
+          | st.none()),
+    typing.Optional[int]: st.none() | ids | big_ints | st.booleans(),
+}
+
+off_type_events = st.one_of([_event_strategy(cls, OFF_TYPE_STRATEGIES)
+                             for cls in EVENT_CLASSES])
+
+#: ``(class, field)`` for every int-annotated field, Optional or not.
+INT_FIELDS = [
+    (cls, name) for cls in EVENT_CLASSES
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, typing.Optional[int])]
+
+#: An in-annotation value per field type, to fill the fields a test
+#: does not vary.
+PLAIN_VALUES = {float: 1.5, int: 3, bool: True, str: "x",
+                typing.Optional[int]: None}
 
 
 def reference_jsonl_line(event):
@@ -129,3 +173,27 @@ def test_csv_row_matches_dict_writer_reference(event):
     header, row = text.split("\r\n", 1)
     assert header == ",".join(CSV_COLUMNS)
     assert row == reference_csv_row(event)
+
+
+@settings(max_examples=500, deadline=None)
+@given(off_type_events)
+def test_jsonl_line_matches_reference_for_off_type_values(event):
+    text, _ = _written(JsonlTraceWriter, ".jsonl", event)
+    assert text == reference_jsonl_line(event)
+
+
+@pytest.mark.parametrize(
+    "cls, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+def test_jsonl_rejects_a_numpy_int_as_the_reference_does(cls, name, tmp_path):
+    hints = typing.get_type_hints(cls)
+    event = cls(**{f.name: (numpy.int64(3) if f.name == name
+                            else PLAIN_VALUES[hints[f.name]])
+                   for f in dataclasses.fields(cls)})
+    with pytest.raises(TypeError):
+        reference_jsonl_line(event)
+    path = tmp_path / "trace.jsonl"
+    with JsonlTraceWriter(path) as writer:
+        with pytest.raises(TypeError):
+            writer.write(event)
+        assert writer.events_written == 0
+    assert path.read_text() == ""

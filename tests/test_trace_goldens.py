@@ -1,8 +1,10 @@
 """Byte-identical packet-level traces against committed goldens.
 
 ``tests/data/trace_goldens.json`` pins the sha256 of one seeded
-packet-level run's trace in JSONL and in CSV.  A change to the trace
-writers that is meant to be byte-neutral must keep both.  The test also
+packet-level run's trace in JSONL and in CSV, and of that run's
+``result.telemetry`` (metrics snapshot and span summary).  A change to
+the trace writers or the metric feeders that is meant to be
+byte-neutral must keep all three.  The test also
 asserts which event kinds the pinned trace holds, so the pin cannot
 quietly cover fewer of them.
 """
@@ -14,7 +16,9 @@ import pytest
 from tests.data.regen_trace_goldens import (
     FORMATS,
     GOLDEN_PATH,
+    run_traced,
     sha256,
+    telemetry_sha256,
     write_trace,
 )
 
@@ -36,7 +40,9 @@ def goldens():
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_traced_packet_run_bytes_match_golden(fmt, tmp_path, goldens):
-    assert sha256(write_trace(tmp_path, fmt)) == goldens[f"{fmt}_sha256"]
+    path, telemetry = run_traced(tmp_path, fmt)
+    assert sha256(path) == goldens[f"{fmt}_sha256"]
+    assert telemetry_sha256(telemetry) == goldens["telemetry_sha256"]
 
 
 def test_pinned_trace_covers_every_packet_level_event_kind(tmp_path):
