@@ -5,6 +5,7 @@ the simulator itself (the full-scale Fig. 2 sweep is dominated by event
 dispatch, queue operations and neighbor queries).
 """
 
+import json
 import math
 import random
 
@@ -17,9 +18,10 @@ from repro.mobility import Area, MobilityManager, ZoneGridMobility
 from repro.des.rng import RandomStreams
 from repro.harness.bench import PAPER_DENSITY
 from repro.network.config import SimulationConfig
-from repro.network.simulation import run_simulation
-from repro.obs.bus import TelemetryBus
-from repro.obs.events import FrameTx
+from repro.network.simulation import Simulation, run_simulation
+from repro.obs.bus import ALL_TOPICS, TelemetryBus
+from repro.obs.events import FrameTx, event_to_dict
+from repro.obs.export import JsonlTraceWriter
 
 #: Reduced-scale run shared by the telemetry on/off pair below, so the
 #: two timings differ only in the telemetry flag.
@@ -202,6 +204,31 @@ def test_simulation_telemetry_on(benchmark):
 
     result = benchmark(run)
     assert result.telemetry is not None
+
+
+def test_jsonl_trace_write(benchmark, tmp_path):
+    """JSONL trace writer cost over a recorded reduced-run event stream.
+
+    The stream is every event of the :data:`_TELEMETRY_BENCH` run, so
+    the mix of event kinds is the simulator's.  The file must equal the
+    ``json.dumps`` line of each event.
+    """
+    sim = Simulation(SimulationConfig(telemetry=True, **_TELEMETRY_BENCH))
+    events = []
+    sim.enable_telemetry().subscribe(ALL_TOPICS, events.append)
+    sim.run()
+    path = tmp_path / "trace.jsonl"
+
+    def run():
+        with JsonlTraceWriter(path) as writer:
+            for event in events:
+                writer.write(event)
+        return writer.events_written
+
+    assert benchmark(run) == len(events) > 0
+    assert path.read_text() == "".join(
+        json.dumps(event_to_dict(event), separators=(",", ":")) + "\n"
+        for event in events)
 
 
 def test_bus_emit_dispatch(benchmark):

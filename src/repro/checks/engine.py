@@ -31,9 +31,12 @@ from repro.checks.rules.base import Finding, RuleContext
 #: ``scenario`` is enrolled because plan parsing, plan-driven mobility,
 #: and the preset registry all feed seeded runs: any nondeterminism
 #: there breaks byte-identical replay.  ``protocols`` is enrolled
-#: because its agents/policies run inside the seeded event loop.
+#: because its agents/policies run inside the seeded event loop, and
+#: ``radio``, ``mobility``, ``energy``, ``traffic`` and ``metrics``
+#: because they are the layers that loop drives and measures.
 SIM_PACKAGES = frozenset({"core", "des", "network", "contact", "obs",
-                          "scenario", "protocols"})
+                          "scenario", "protocols", "radio", "mobility",
+                          "energy", "traffic", "metrics"})
 
 #: Individual ``(package, module)`` pairs outside :data:`SIM_PACKAGES`
 #: that still carry the bit-for-bit reproducibility guarantee and so get

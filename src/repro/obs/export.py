@@ -3,10 +3,12 @@
 Writers subscribe to the wildcard topic and serialize each event as it
 is emitted, so trace memory stays O(1) regardless of run length.  Field
 order inside each record follows the event dataclass declaration order
-(``topic`` first), which keeps seeded traces byte-identical.  Both
-writers hand each line to a C encoder (``json``'s one-shot encoder,
-``csv.writer``); the per-event Python work is building one dict or one
-tuple.
+(``topic`` first), which keeps seeded traces byte-identical.  A JSONL
+line comes from one function per event class, compiled once from the
+field annotations: a ``%`` template filled from the fields after an
+exact type check per field.  A value the check does not admit sends
+that one line through ``json``'s encoder instead.  CSV rows go to
+``csv.writer`` as one tuple per event.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import TracebackType
@@ -34,6 +37,89 @@ CSV_COLUMNS: List[str] = list(dict.fromkeys(
 
 #: One-shot encode takes json's C encoder; ``json.dump`` would not.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+_FieldType = Tuple[str, type, bool]
+
+
+def _field_types(cls: Type[TelemetryEvent]) -> Tuple[_FieldType, ...]:
+    """``(field, type, optional)`` per annotated field of ``cls``.
+
+    ``topic`` comes first, then the dataclass fields in declaration
+    order.  An ``Optional[T]`` field reads as ``T`` with ``optional``
+    set; ``topic``'s ``ClassVar[str]`` reads as ``str``.
+    """
+    out: List[_FieldType] = []
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)
+        inner = [arg for arg in args if arg is not type(None)]
+        out.append((name, inner[0] if inner else hint, type(None) in args))
+    return tuple(out)
+
+
+def _json_line(event: TelemetryEvent) -> str:
+    """``event``'s JSONL line through ``json``'s encoder."""
+    return _encode(event_to_dict(event)) + "\n"
+
+
+#: Per annotated type: the exact-type guard under which json writes a
+#: field value ``{v}`` as the text ``%s`` makes of the expression beside
+#: it.  ``%s`` of an exact int or float is its ``repr``, as in json;
+#: ``v - v == 0.0`` holds for finite floats only, and json writes
+#: ``NaN`` and ``Infinity`` itself.  A float subclass, a bool in an int
+#: field and ``None`` where the annotation does not allow it all fail
+#: their guard.
+_JSON_FIELDS: Dict[type, Tuple[str, str]] = {
+    float: ("type({v}) is float and {v} - {v} == 0.0", "{v}"),
+    int: ("type({v}) is int", "{v}"),
+    bool: ("type({v}) is bool", "('true' if {v} else 'false')"),
+    str: ("type({v}) is str", "_quote({v})"),
+}
+
+
+def _compile_jsonl_line(
+        cls: Type[TelemetryEvent]) -> Callable[[TelemetryEvent], str]:
+    """``event -> JSONL line`` for events of ``cls``.
+
+    The line is ``cls``'s ``%`` template filled field by field when
+    every field passes its guard from :data:`_JSON_FIELDS`, and
+    :func:`_json_line` otherwise.  Each guard admits only values json
+    writes as the paired text (``repr`` of an exact int or finite
+    float, ``encode_basestring_ascii`` of an exact str), so both paths
+    give the same bytes.
+    """
+    template = '{"topic":' + encode_basestring_ascii(cls.topic).replace(
+        "%", "%%")
+    reads: List[str] = []
+    guards: List[str] = []
+    texts: List[str] = []
+    for name, kind, optional in _field_types(cls):
+        if name == "topic":
+            continue
+        v = f"v{len(reads)}"
+        reads.append(f"    {v} = event.{name}\n")
+        template += "," + encode_basestring_ascii(name) + ":%s"
+        guard, text = (part.format(v=v) for part in _JSON_FIELDS[kind])
+        if optional:
+            guard = f"({v} is None or {guard})"
+            text = f"('null' if {v} is None else {text})"
+        guards.append(guard)
+        texts.append(text)
+    source = (f"def line(event):\n{''.join(reads)}"
+              f"    if {' and '.join(guards)}:\n"
+              f"        return _TEMPLATE % ({', '.join(texts)},)\n"
+              f"    return _json_line(event)\n")
+    namespace: Dict[str, Any] = {
+        "_TEMPLATE": template + "}\n",
+        "_quote": encode_basestring_ascii, "_json_line": _json_line}
+    exec(compile(source, f"<jsonl line of {cls.__name__}>", "exec"),
+         namespace)
+    line: Callable[[TelemetryEvent], str] = namespace["line"]
+    return line
+
+
+#: The compiled JSONL line of every event class.
+_JSONL_LINES: Dict[type, Callable[[TelemetryEvent], str]] = {
+    cls: _compile_jsonl_line(cls) for cls in EVENT_TYPES}
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +189,8 @@ class JsonlTraceWriter(_BaseTraceWriter):
     """One JSON object per line per event."""
 
     def write(self, event: TelemetryEvent) -> None:
-        self._handle().write(_encode(event_to_dict(event)) + "\n")
+        line = _JSONL_LINES.get(type(event), _json_line)
+        self._handle().write(line(event))
         self.events_written += 1
 
 
@@ -151,11 +238,8 @@ def _csv_cell_parsers(
 
     An ``Optional[T]`` field's cell parses as ``T``.
     """
-    parsers: List[Tuple[str, _CellParser]] = []
-    for name, hint in get_type_hints(cls).items():
-        inner = [arg for arg in get_args(hint) if arg is not type(None)]
-        parsers.append((name, _CELL_PARSERS[inner[0] if inner else hint]))
-    return tuple(parsers)
+    return tuple((name, _CELL_PARSERS[kind])
+                 for name, kind, _ in _field_types(cls))
 
 
 def _from_csv_row(row: Dict[Any, Any]) -> Dict[str, object]:

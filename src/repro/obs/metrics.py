@@ -13,7 +13,9 @@ snapshots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import (
@@ -86,12 +88,10 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
+        """Record one observation (NaN lands in the overflow bucket)."""
+        bounds = self.bounds
+        # The first bound >= value; NaN compares false with every bound.
+        idx = bisect_left(bounds, value) if value == value else len(bounds)
         self.counts[idx] += 1
         self.total += value
         self.count += 1
@@ -103,6 +103,25 @@ class Histogram:
         return self.total / self.count
 
 
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class _Resolved(Dict[_K, _V]):
+    """A dict that builds a missing key's value as ``make(key)``.
+
+    A hit is one dict lookup; ``make`` runs once per key.
+    """
+
+    def __init__(self, make: Callable[[_K], _V]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: _K) -> _V:
+        value = self[key] = self._make(key)
+        return value
+
+
 class MetricsRegistry:
     """Named metrics, created on first use."""
 
@@ -110,6 +129,27 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # The busiest feeders' metrics, resolved once per frame kind,
+        # (phase, outcome) or lpl flag.  A metric still appears on the
+        # first event that feeds it, as through counter()/histogram().
+        self._tx: _Resolved[str, Tuple[Counter, Counter]] = _Resolved(
+            lambda kind: (self.counter(f"frames_tx.{kind}"),
+                          self.counter("bits_sent")))
+        self._rx: _Resolved[str, Counter] = _Resolved(
+            lambda kind: self.counter(f"frames_rx.{kind}"))
+        self._collisions: _Resolved[str, Counter] = _Resolved(
+            lambda kind: self.counter(f"frames_collision.{kind}"))
+        self._phase_exits: _Resolved[
+            Tuple[str, str], Tuple[Counter, Histogram]] = _Resolved(
+                lambda key: (self.counter(f"phase.{key[0]}.{key[1]}"),
+                             self.histogram(f"phase_duration_s.{key[0]}")))
+        self._sleeps: _Resolved[bool, Counter] = _Resolved(
+            lambda lpl: self.counter(
+                "radio_sleeps.lpl" if lpl else "radio_sleeps.full"))
+        self._wakes: _Resolved[bool, Tuple[Counter, Histogram]] = _Resolved(
+            lambda lpl: (self.counter("radio_wakes.lpl" if lpl
+                                      else "radio_wakes.full"),
+                         self.histogram("sleep_duration_s")))
 
     # ------------------------------------------------------------------
     # access / creation
@@ -175,16 +215,17 @@ class MetricsRegistry:
 
     def _on_frame_tx(self, event: TelemetryEvent) -> None:
         assert isinstance(event, FrameTx)
-        self.counter(f"frames_tx.{event.frame_kind}").inc()
-        self.counter("bits_sent").inc(event.bits)
+        frames, bits = self._tx[event.frame_kind]
+        frames.value += 1
+        bits.inc(event.bits)
 
     def _on_frame_rx(self, event: TelemetryEvent) -> None:
         assert isinstance(event, FrameRx)
-        self.counter(f"frames_rx.{event.frame_kind}").inc()
+        self._rx[event.frame_kind].value += 1
 
     def _on_frame_collision(self, event: TelemetryEvent) -> None:
         assert isinstance(event, FrameCollision)
-        self.counter(f"frames_collision.{event.frame_kind}").inc()
+        self._collisions[event.frame_kind].value += 1
 
     def _on_queue_drop(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueueDrop)
@@ -192,20 +233,19 @@ class MetricsRegistry:
 
     def _on_phase_exit(self, event: TelemetryEvent) -> None:
         assert isinstance(event, PhaseExit)
-        self.counter(f"phase.{event.phase}.{event.outcome}").inc()
-        self.histogram(f"phase_duration_s.{event.phase}").observe(
-            event.duration_s)
+        exits, durations = self._phase_exits[event.phase, event.outcome]
+        exits.value += 1
+        durations.observe(event.duration_s)
 
     def _on_radio_sleep(self, event: TelemetryEvent) -> None:
         assert isinstance(event, RadioSleep)
-        self.counter("radio_sleeps.lpl" if event.lpl
-                     else "radio_sleeps.full").inc()
+        self._sleeps[event.lpl].value += 1
 
     def _on_radio_wake(self, event: TelemetryEvent) -> None:
         assert isinstance(event, RadioWake)
-        self.counter("radio_wakes.lpl" if event.lpl
-                     else "radio_wakes.full").inc()
-        self.histogram("sleep_duration_s").observe(event.slept_s)
+        wakes, slept = self._wakes[event.lpl]
+        wakes.value += 1
+        slept.observe(event.slept_s)
 
     def _on_contact_start(self, event: TelemetryEvent) -> None:
         assert isinstance(event, ContactStart)

@@ -259,7 +259,7 @@ class WirelessMedium:
                 tx_corrupted.add(other_id)
                 # Unordered iteration is safe: marking each interferer
                 # corrupted at this receiver commutes.
-                for t in in_audience:  # lint: disable=DET003
+                for t in in_audience:
                     t.corrupted.add(other_id)
                 in_audience.add(tx)
             else:
@@ -288,6 +288,12 @@ class WirelessMedium:
         rx_audience = self._rx_audience
         bus = self._bus
         frame = tx.frame
+        if bus is not None:
+            # Every receiver's event carries the same frame fields.
+            now = self._scheduler.now
+            kind = frame.kind.value
+            src, dst = frame.src, frame.dst
+            message_id = getattr(frame, "message_id", None)
         for node_id in tx.audience:
             bucket = rx_audience[node_id]
             if len(bucket) == 1:
@@ -305,19 +311,15 @@ class WirelessMedium:
                 self.stats.frames_corrupted += 1
                 if bus is not None:
                     bus.emit(FrameCollision(
-                        time=self._scheduler.now, node=node_id,
-                        frame_kind=frame.kind.value, src=frame.src,
-                        dst=frame.dst,
-                        message_id=getattr(frame, "message_id", None)))
+                        time=now, node=node_id, frame_kind=kind, src=src,
+                        dst=dst, message_id=message_id))
                 radio.notify_collision(frame)
             else:
                 self.stats.frames_delivered += 1
                 if bus is not None:
                     bus.emit(FrameRx(
-                        time=self._scheduler.now, node=node_id,
-                        frame_kind=frame.kind.value, src=frame.src,
-                        dst=frame.dst,
-                        message_id=getattr(frame, "message_id", None)))
+                        time=now, node=node_id, frame_kind=kind, src=src,
+                        dst=dst, message_id=message_id))
                 radio.deliver(frame)
         # The sender's frame ends after its audience is served, with the
         # sender still TRANSMITTING while they run.  Work a receiver

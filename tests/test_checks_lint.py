@@ -8,6 +8,8 @@ acceptance criterion CI enforces via ``dftmsn lint src/repro``).
 
 import pathlib
 
+import pytest
+
 from repro.checks.engine import (
     describe_rules,
     is_sim_module,
@@ -71,6 +73,18 @@ class TestDet002:
         assert is_sim_module("src/repro/network/faults.py")
         assert not is_sim_module("src/repro/harness/cli.py")
         assert not is_sim_module("src/repro/checks/engine.py")
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/radio/medium.py",
+        "src/repro/mobility/zone.py",
+        "src/repro/energy/model.py",
+        "src/repro/traffic/generators.py",
+        "src/repro/metrics/collector.py",
+    ])
+    def test_layer_packages_are_sim_modules(self, path):
+        # The layers the seeded event loop drives and measures get the
+        # sim-only rules (DET002/DET003/SUB001/SCH001) too.
+        assert is_sim_module(path)
 
     def test_individually_enrolled_modules(self):
         # harness/faults.py carries the campaign determinism guarantee
