@@ -1,7 +1,8 @@
 """Property tests (Hypothesis): trace writers against reference encoders.
 
-The JSONL writer encodes each event with json's one-shot C encoder and
-the CSV writer with ``csv.writer`` and a per-class column layout.  The
+The JSONL writer fills a template compiled per event class (json's
+one-shot C encoder for values its type checks do not admit) and the CSV
+writer uses ``csv.writer`` and a per-class column layout.  The
 references below are the encoders they replaced, kept here verbatim:
 ``json.dump`` (pure-Python ``iterencode``) and ``csv.DictWriter``.  For
 every event class and drawn field values, the bytes must agree, and
