@@ -3,11 +3,15 @@
 import dataclasses
 import json
 import math
+import typing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.bus import ALL_TOPICS, TOPICS, TelemetryBus
 from repro.obs.events import (
+    EVENT_TYPES,
     ContactEnd,
     FrameTx,
     MessageDelivered,
@@ -88,6 +92,27 @@ class TestTelemetryBus:
         with pytest.raises(ValueError, match="not registered"):
             bus.unsubscribe(FrameTx.topic, lambda e: None)
 
+    def test_nested_emit_dispatches_fully_before_outer_wildcards(self):
+        # The contact-level exchange emits from inside a topic
+        # subscriber and relies on this order.
+        bus = TelemetryBus()
+        order = []
+        inner = QueueDrop(time=1.0, node=5, message_id=7, cause="overflow",
+                          ftd=0.5)
+
+        def on_tx(event):
+            order.append(("tx", event.topic))
+            bus.emit(inner)
+
+        bus.subscribe(FrameTx.topic, on_tx)
+        bus.subscribe(QueueDrop.topic,
+                      lambda e: order.append(("drop", e.topic)))
+        bus.subscribe(ALL_TOPICS, lambda e: order.append(("wild", e.topic)))
+        bus.emit(_tx())
+        assert order == [("tx", "frame.tx"), ("drop", "queue.drop"),
+                         ("wild", "queue.drop"), ("wild", "frame.tx")]
+        assert bus.events_emitted == 2
+
     def test_topics_is_closed_set(self):
         assert "frame.tx" in TOPICS
         assert "fault.inject" in TOPICS
@@ -109,10 +134,67 @@ class TestEvents:
         event = ContactEnd(time=30.0, a=1, b=2, started=10.0)
         assert event.duration == pytest.approx(20.0)
 
-    def test_events_are_frozen(self):
-        event = _tx()
-        with pytest.raises(Exception):
-            event.node = 99
+
+
+def _sample_kwargs(cls):
+    """Distinct plain values for every field of ``cls``, by annotation."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for i, field in enumerate(dataclasses.fields(cls)):
+        args = [a for a in typing.get_args(hints[field.name])
+                if a is not type(None)]
+        kind = args[0] if args else hints[field.name]
+        out[field.name] = {float: i + 0.25, int: i, str: f"s{i}",
+                           bool: i % 2 == 1}[kind]
+    return out
+
+
+def _dataclass_copy(cls):
+    """``cls`` rebuilt by ``dataclasses`` with its own frozen ``__init__``."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+        namespace={"topic": cls.topic}, frozen=True)
+
+
+@pytest.mark.parametrize("cls", EVENT_TYPES, ids=lambda cls: cls.__name__)
+class TestFrozenEvents:
+    def test_assignment_and_del_raise(self, cls):
+        kwargs = _sample_kwargs(cls)
+        event = cls(**kwargs)
+        for name in list(kwargs) + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(event, name)
+        assert event_to_dict(event) == {"topic": cls.topic, **kwargs}
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        kwargs = _sample_kwargs(cls)
+        values = list(kwargs.values())
+        event = cls(**kwargs)
+        assert cls(*values) == event
+        assert cls(values[0], **dict(list(kwargs.items())[1:])) == event
+
+    def test_missing_or_unknown_keyword_raises(self, cls):
+        kwargs = _sample_kwargs(cls)
+        for name in kwargs:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in kwargs.items() if k != name})
+        with pytest.raises(TypeError):
+            cls(**kwargs, unknown=1)
+        with pytest.raises(TypeError):
+            cls(*kwargs.values(), 1)
+
+    def test_matches_a_dataclass_built_copy(self, cls):
+        kwargs = _sample_kwargs(cls)
+        event, ref = cls(**kwargs), _dataclass_copy(cls)(**kwargs)
+        assert repr(event) == repr(ref)
+        assert hash(event) == hash(ref)
+        assert list(event_to_dict(event).items()) == list(
+            event_to_dict(ref).items())
+        assert [f.name for f in dataclasses.fields(event)] == [
+            f.name for f in dataclasses.fields(ref)]
+        assert list(cls.__dataclass_fields__) == ["topic", *kwargs]
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +312,32 @@ class TestSpans:
         assert summary["async"]["count"] == 5  # aggregate did not
         assert summary["async"]["mean_s"] == pytest.approx(1.0)
         assert summary["async"]["outcomes"] == {"advance": 5}
+
+
+
+_span_floats = st.floats(width=64)
+
+#: Streams of the two events spans are built from.
+span_events = st.lists(st.one_of(
+    st.builds(PhaseExit, time=_span_floats, node=st.integers(0, 5),
+              phase=st.sampled_from(["async", "sync", "sleep"]),
+              duration_s=_span_floats,
+              outcome=st.sampled_from(["advance", "busy", "confirmed"])),
+    st.builds(RadioWake, time=_span_floats, node=st.integers(0, 5),
+              slept_s=_span_floats, lpl=st.booleans())), max_size=40)
+
+
+@given(span_events)
+def test_ring_free_tracker_summarizes_as_the_ring_does(events):
+    bus = TelemetryBus()
+    with_ring, ring_free = SpanTracker(), SpanTracker(max_spans=0)
+    with_ring.subscribe(bus)
+    ring_free.subscribe(bus)
+    for event in events:
+        bus.emit(event)
+    assert json.dumps(ring_free.summary()) == json.dumps(with_ring.summary())
+    assert len(with_ring) == len(events)
+    assert len(ring_free) == 0 and ring_free.spans() == []
 
 
 # ----------------------------------------------------------------------
