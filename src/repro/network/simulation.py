@@ -160,7 +160,7 @@ class Simulation:
         self.bus = bus
         self.metrics = MetricsRegistry()
         self.metrics.bind(bus)
-        self.spans = SpanTracker()
+        self.spans = SpanTracker(max_spans=0)  # result.telemetry: summary only
         self.spans.subscribe(bus)
         self.medium.bind_telemetry(bus)
         self.collector.bind_telemetry(bus)

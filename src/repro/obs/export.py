@@ -189,8 +189,10 @@ class JsonlTraceWriter(_BaseTraceWriter):
     """One JSON object per line per event."""
 
     def write(self, event: TelemetryEvent) -> None:
-        line = _JSONL_LINES.get(type(event), _json_line)
-        self._handle().write(line(event))
+        fh = self._fh
+        if fh is None:
+            fh = self._handle()  # raises: the writer is closed
+        fh.write(_JSONL_LINES.get(type(event), _json_line)(event))
         self.events_written += 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Optional
 
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import PhaseExit, RadioWake, TelemetryEvent
@@ -42,11 +42,14 @@ class SpanTracker:
 
     Keeps at most ``max_spans`` (oldest evicted first) so long runs
     cannot grow memory without bound; the per-phase summary keeps full
-    counts regardless of eviction.
+    counts regardless of eviction.  ``max_spans=0`` keeps no ring at
+    all: the handlers build no :class:`Span` and only the summary is
+    kept, which is what a simulation's own tracker does.
     """
 
     def __init__(self, max_spans: int = 100_000) -> None:
-        self._spans: Deque[Span] = deque(maxlen=max_spans)
+        self._spans: Optional[Deque[Span]] = (
+            None if max_spans == 0 else deque(maxlen=max_spans))
         self._counts: Dict[str, int] = {}
         self._totals: Dict[str, float] = {}
         self._outcomes: Dict[str, Dict[str, int]] = {}
@@ -59,45 +62,41 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _record(self, span: Span) -> None:
-        self._spans.append(span)
-        self._counts[span.phase] = self._counts.get(span.phase, 0) + 1
-        self._totals[span.phase] = (
-            self._totals.get(span.phase, 0.0) + span.duration_s)
-        per_outcome = self._outcomes.setdefault(span.phase, {})
-        per_outcome[span.outcome] = per_outcome.get(span.outcome, 0) + 1
+    def _record(self, node: int, phase: str, start: float, end: float,
+                outcome: str) -> None:
+        if self._spans is not None:
+            self._spans.append(Span(node, phase, start, end, outcome))
+        counts = self._counts
+        counts[phase] = counts.get(phase, 0) + 1
+        # ``end - start``, as Span.duration_s computes it.
+        self._totals[phase] = self._totals.get(phase, 0.0) + (end - start)
+        per_outcome = self._outcomes.setdefault(phase, {})
+        per_outcome[outcome] = per_outcome.get(outcome, 0) + 1
 
     def _on_phase_exit(self, event: TelemetryEvent) -> None:
         assert isinstance(event, PhaseExit)
-        self._record(Span(
-            node=event.node,
-            phase=event.phase,
-            start=event.time - event.duration_s,
-            end=event.time,
-            outcome=event.outcome,
-        ))
+        end = event.time
+        self._record(event.node, event.phase, end - event.duration_s, end,
+                     event.outcome)
 
     def _on_radio_wake(self, event: TelemetryEvent) -> None:
         assert isinstance(event, RadioWake)
-        self._record(Span(
-            node=event.node,
-            phase=SLEEP_PHASE,
-            start=event.time - event.slept_s,
-            end=event.time,
-            outcome="lpl" if event.lpl else "full",
-        ))
+        end = event.time
+        self._record(event.node, SLEEP_PHASE, end - event.slept_s, end,
+                     "lpl" if event.lpl else "full")
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def spans(self, phase: str = "") -> List[Span]:
         """Retained spans, optionally filtered to one phase."""
+        spans = self._spans or ()
         if not phase:
-            return list(self._spans)
-        return [span for span in self._spans if span.phase == phase]
+            return list(spans)
+        return [span for span in spans if span.phase == phase]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return 0 if self._spans is None else len(self._spans)
 
     def summary(self) -> Dict[str, Dict[str, object]]:
         """Per-phase aggregate: count, total/mean duration, outcomes.

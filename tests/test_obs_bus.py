@@ -113,6 +113,38 @@ class TestTelemetryBus:
                          ("wild", "queue.drop"), ("wild", "frame.tx")]
         assert bus.events_emitted == 2
 
+    @pytest.mark.parametrize("topic", [FrameTx.topic, ALL_TOPICS])
+    def test_self_unsubscribe_during_dispatch_keeps_the_rest(self, topic):
+        bus = TelemetryBus()
+        got = []
+
+        def first(event):
+            got.append("a")
+            bus.unsubscribe(topic, first)
+
+        bus.subscribe(topic, first)
+        bus.subscribe(topic, lambda e: got.append("b"))
+        bus.emit(_tx())
+        assert got == ["a", "b"]
+        bus.emit(_tx())
+        assert got == ["a", "b", "b"]
+
+    @pytest.mark.parametrize("topic", [FrameTx.topic, ALL_TOPICS])
+    def test_subscriber_added_during_dispatch_gets_the_next_event(
+            self, topic):
+        bus = TelemetryBus()
+        got = []
+
+        def adder(event):
+            got.append(("adder", event.time))
+            if event.time == 1.0:
+                bus.subscribe(topic, lambda e: got.append(("late", e.time)))
+
+        bus.subscribe(FrameTx.topic, adder)
+        bus.emit(_tx(time=1.0))
+        bus.emit(_tx(time=2.0))
+        assert got == [("adder", 1.0), ("adder", 2.0), ("late", 2.0)]
+
     def test_topics_is_closed_set(self):
         assert "frame.tx" in TOPICS
         assert "fault.inject" in TOPICS

@@ -16,13 +16,17 @@ import pytest
 from tests.data.regen_trace_goldens import (
     FORMATS,
     GOLDEN_PATH,
+    TRACE_CONFIG,
     run_traced,
     sha256,
     telemetry_sha256,
     write_trace,
 )
 
+from repro.network.config import SimulationConfig
+from repro.network.simulation import Simulation
 from repro.obs.export import read_trace
+from repro.obs.spans import SLEEP_PHASE, Span, SpanTracker
 
 #: Every packet-level topic; ``contact.*`` is emitted by the contact
 #: level only.
@@ -57,3 +61,26 @@ def test_pinned_trace_covers_every_packet_level_event_kind(tmp_path):
         == {"purge", "threshold"}
     assert {e["lpl"] for e in events if e["topic"] == "radio.sleep"} \
         == {False, True}
+
+
+def test_subscribed_span_ring_matches_the_trace(tmp_path):
+    # The simulation keeps span aggregates only; a ring is one
+    # subscription away and must hold the spans the trace describes.
+    path = tmp_path / FORMATS["jsonl"]
+    sim = Simulation(SimulationConfig(trace_path=str(path), **TRACE_CONFIG))
+    tracker = SpanTracker()
+    tracker.subscribe(sim.enable_telemetry())
+    result = sim.run()
+    rebuilt = []
+    for e in read_trace(path):
+        if e["topic"] == "phase.exit":
+            rebuilt.append(Span(e["node"], e["phase"],
+                                e["time"] - e["duration_s"], e["time"],
+                                e["outcome"]))
+        elif e["topic"] == "radio.wake":
+            rebuilt.append(Span(e["node"], SLEEP_PHASE,
+                                e["time"] - e["slept_s"], e["time"],
+                                "lpl" if e["lpl"] else "full"))
+    assert rebuilt and tracker.spans() == rebuilt
+    assert tracker.summary() == result.telemetry["spans"]
+    assert len(sim.spans) == 0
