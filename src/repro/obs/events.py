@@ -243,7 +243,6 @@ EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
 )
 
 
-
 def _compile_init(cls: Type[TelemetryEvent]) -> Callable[..., None]:
     """``cls.__init__`` that stores each field through ``__dict__``.
 

@@ -66,8 +66,7 @@ class SpanTracker:
                 outcome: str) -> None:
         if self._spans is not None:
             self._spans.append(Span(node, phase, start, end, outcome))
-        counts = self._counts
-        counts[phase] = counts.get(phase, 0) + 1
+        self._counts[phase] = self._counts.get(phase, 0) + 1
         # ``end - start``, as Span.duration_s computes it.
         self._totals[phase] = self._totals.get(phase, 0.0) + (end - start)
         per_outcome = self._outcomes.setdefault(phase, {})

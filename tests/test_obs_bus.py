@@ -155,19 +155,6 @@ class TestTelemetryBus:
 # ----------------------------------------------------------------------
 # events
 # ----------------------------------------------------------------------
-class TestEvents:
-    def test_event_to_dict_puts_topic_first(self):
-        d = event_to_dict(_tx())
-        assert list(d)[0] == "topic"
-        assert d["topic"] == "frame.tx"
-        assert d["bits"] == 1000
-
-    def test_contact_end_duration(self):
-        event = ContactEnd(time=30.0, a=1, b=2, started=10.0)
-        assert event.duration == pytest.approx(20.0)
-
-
-
 def _sample_kwargs(cls):
     """Distinct plain values for every field of ``cls``, by annotation."""
     hints = typing.get_type_hints(cls)
@@ -188,18 +175,31 @@ def _dataclass_copy(cls):
         namespace={"topic": cls.topic}, frozen=True)
 
 
+class TestEvents:
+    def test_event_to_dict_puts_topic_first(self):
+        d = event_to_dict(_tx())
+        assert list(d)[0] == "topic"
+        assert d["topic"] == "frame.tx"
+        assert d["bits"] == 1000
+
+    def test_contact_end_duration(self):
+        event = ContactEnd(time=30.0, a=1, b=2, started=10.0)
+        assert event.duration == pytest.approx(20.0)
+
+    def test_events_are_frozen(self):
+        for cls in EVENT_TYPES:
+            kwargs = _sample_kwargs(cls)
+            event = cls(**kwargs)
+            for name in list(kwargs) + ["extra"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(event, name, 0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(event, name)
+            assert event_to_dict(event) == {"topic": cls.topic, **kwargs}
+
+
 @pytest.mark.parametrize("cls", EVENT_TYPES, ids=lambda cls: cls.__name__)
 class TestFrozenEvents:
-    def test_assignment_and_del_raise(self, cls):
-        kwargs = _sample_kwargs(cls)
-        event = cls(**kwargs)
-        for name in list(kwargs) + ["extra"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(event, name, 0)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(event, name)
-        assert event_to_dict(event) == {"topic": cls.topic, **kwargs}
-
     def test_positional_and_keyword_construction_agree(self, cls):
         kwargs = _sample_kwargs(cls)
         values = list(kwargs.values())
