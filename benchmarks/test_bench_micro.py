@@ -12,6 +12,7 @@ import random
 import typing
 
 from repro.analysis import min_tau_max_fast
+from repro.contact.policies import LazyXiEstimator
 from repro.core.message import DataMessage, MessageCopy
 from repro.core.queue import FtdQueue
 from repro.core.ftd import receiver_copy_ftd, sender_ftd_after_multicast
@@ -255,6 +256,34 @@ def test_bus_emit_dispatch(benchmark):
     assert benchmark(run) == 20_000
     assert order == ["topic", "wild"] * 10_000
     assert bus.events_emitted % 10_000 == 0 < bus.events_emitted
+
+
+def test_lazy_xi_read(benchmark):
+    """Steady reads of the contact level's lazy Eq. 1 estimator.
+
+    FAD reads xi a few times per offer, and most reads fall within one
+    timeout of the last event, where no decay step is due.  Each round
+    makes 10,000 such reads after three decay steps; every value must
+    equal xi decayed by ``(1 - alpha) ** 3``, and a read one timeout on
+    applies the fourth step.
+    """
+    alpha, timeout = 0.3, 60.0
+    est = LazyXiEstimator(alpha, timeout)
+    est.on_transmission(0.8, 100.0)
+    reference = alpha * 0.8 * (1.0 - alpha) ** 3
+    assert est.xi(100.0 + 3 * timeout + 1.0) == reference
+    last = est._last_event
+    times = [last + i * 0.005 for i in range(10_000)]
+    assert times[-1] < last + timeout
+
+    def run():
+        return [est.xi(now) for now in times]
+
+    assert benchmark(run) == [reference] * len(times)
+    assert (est._xi, est._last_event) == (reference, last)
+    assert all(est.steady_at(now) for now in times)
+    assert not est.steady_at(last + timeout)
+    assert est.xi(last + timeout) == reference * (1.0 - alpha)
 
 
 def test_event_construction(benchmark):

@@ -72,7 +72,9 @@ class ContactTracer:
         against the previous tick's codes, so only the pairs that changed
         reach Python.  Starts are processed before ends, each in sorted
         pair order: the events feed the contact-level simulator's
-        scheduling.
+        scheduling.  A ``ContactStart`` is built only when the bus routes
+        it (a bare contact-level run reads only the ends); a
+        ``ContactEnd`` always is, since the simulator's exchange takes it.
         """
         codes = self._mobility.pairs_in_range()
         previous = self._codes
@@ -83,7 +85,7 @@ class ContactTracer:
         for code in _missing_from(codes, previous).tolist():
             a, b = ids[code // n], ids[code % n]
             self._active[(a, b)] = now
-            if bus is not None:
+            if bus is not None and bus.routes(ContactStart.topic):
                 bus.emit(ContactStart(time=now, a=a, b=b))
         for code in _missing_from(previous, codes).tolist():
             a, b = ids[code // n], ids[code % n]

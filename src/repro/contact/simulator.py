@@ -380,7 +380,9 @@ class ContactSimulation:
         first, so every queued copy satisfies ``received_at <= end``
         exactly as in the geometric pipeline.  Windows beyond the run
         duration are dropped; one straddling it is truncated, matching
-        ``ContactTracer.close``.
+        ``ContactTracer.close``.  The windows' ``ContactStart`` and
+        ``ContactEnd`` events are for a trace only (the exchange is fed
+        directly), so each is built only when the bus routes it.
         """
         assert self.plan is not None
         cfg = self.config
@@ -394,9 +396,10 @@ class ContactSimulation:
             self._flush_arrivals(end)
             self._replayed_contacts += 1
             bus = self.bus
-            if bus is not None:
+            if bus is not None and bus.routes(ContactStart.topic):
                 bus.emit(ContactStart(time=planned.start, a=planned.a,
                                       b=planned.b))
+            if bus is not None and bus.routes(ContactEnd.topic):
                 bus.emit(ContactEnd(time=end, a=planned.a, b=planned.b,
                                     started=planned.start))
             self._on_contact_end(planned.a, planned.b, planned.start, end,

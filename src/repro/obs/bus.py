@@ -90,6 +90,14 @@ class TelemetryBus:
             return len(self._all)
         return len(self._topics.get(topic, ()))
 
+    def routes(self, topic: str) -> bool:
+        """Whether an event on ``topic`` would reach any subscriber.
+
+        Emit sites whose events nobody reads test this first and skip
+        building the event; a wildcard subscriber routes every topic.
+        """
+        return bool(self._dispatch.get(topic, self._all))
+
     # ------------------------------------------------------------------
     # publication
     # ------------------------------------------------------------------

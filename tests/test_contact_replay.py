@@ -11,6 +11,7 @@ from repro.contact.simulator import (
 from repro.core.message import DataMessage, fresh_message_id
 from repro.harness.runner import Job, SerialRunner, TracingRunner
 from repro.harness.serialize import canonical_json
+from repro.obs.bus import ALL_TOPICS
 from repro.obs.export import read_trace
 
 PLAN = """\
@@ -230,6 +231,21 @@ class TestTracesS4:
         files = list((tmp_path / "traces").glob("*.jsonl"))
         assert len(files) == 1
         assert read_trace(files[0])  # non-empty, parseable
+
+    def test_untraced_replay_builds_no_events(self, tmp_path):
+        # The exchange is fed the windows directly, so without a trace
+        # the replay's contact events reach no one and are not emitted.
+        bare = ContactSimulation(_replay_config(tmp_path))
+        bare_result = bare.run()
+        assert bare.bus.events_emitted == 0
+        watched = ContactSimulation(_replay_config(tmp_path))
+        topics = []
+        watched.bus.subscribe(ALL_TOPICS, lambda e: topics.append(e.topic))
+        watched_result = watched.run()
+        assert topics == ["contact.start", "contact.end"] * 3
+        assert canonical_json(to_plain(bare_result)) == canonical_json(
+            to_plain(watched_result))
+        assert bare.collector.deliveries == watched.collector.deliveries
 
     def test_trace_is_deterministic(self, tmp_path):
         # Message ids are numbered per run, so two runs of one config in

@@ -145,6 +145,31 @@ class TestTelemetryBus:
         bus.emit(_tx(time=2.0))
         assert got == [("adder", 1.0), ("adder", 2.0), ("late", 2.0)]
 
+    @pytest.mark.parametrize("topic", [FrameTx.topic, ALL_TOPICS])
+    def test_routes_follows_subscriptions(self, topic):
+        bus = TelemetryBus()
+        assert not bus.routes(FrameTx.topic)
+        first, second = [], []
+        bus.subscribe(topic, first.append)
+        bus.subscribe(topic, second.append)
+        assert bus.routes(FrameTx.topic)
+        # A wildcard routes every topic; a topic subscriber only its own.
+        assert bus.routes(QueueDrop.topic) == (topic == ALL_TOPICS)
+        bus.unsubscribe(topic, first.append)
+        assert bus.routes(FrameTx.topic)
+        bus.unsubscribe(topic, second.append)
+        assert not bus.routes(FrameTx.topic)
+        assert not bus.routes(QueueDrop.topic)
+
+    def test_routes_reads_an_emptied_topic_through_its_wildcards(self):
+        bus = TelemetryBus()
+        bus.subscribe(FrameTx.topic, print)
+        bus.unsubscribe(FrameTx.topic, print)
+        bus.subscribe(ALL_TOPICS, print)
+        assert bus.routes(FrameTx.topic)
+        bus.unsubscribe(ALL_TOPICS, print)
+        assert not bus.routes(FrameTx.topic)
+
     def test_topics_is_closed_set(self):
         assert "frame.tx" in TOPICS
         assert "fault.inject" in TOPICS
