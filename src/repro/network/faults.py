@@ -34,7 +34,7 @@ import abc
 import random
 from dataclasses import dataclass, replace
 from typing import (
-    ClassVar, Dict, List, Optional, Tuple, Type, TYPE_CHECKING,
+    Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type, TYPE_CHECKING,
 )
 
 from repro.codec import PlainData
@@ -113,7 +113,9 @@ class FaultModel(abc.ABC):
     It draws the model's whole plan from the ``faults:<name>`` substream
     up front — scheduling is the only side effect — so two models never
     perturb each other's randomness and the plan is independent of when
-    other fault events fire.
+    other fault events fire.  Every action is scheduled through
+    :meth:`_schedule_at`, at :data:`FAULT_PRIORITY`;
+    ``tests/test_fault_contract.py`` holds every subclass to both rules.
     """
 
     #: Short model name: RNG substream suffix and telemetry ``model`` tag.
@@ -148,6 +150,13 @@ class FaultModel(abc.ABC):
         """The spec's time window clamped to the run duration."""
         end = sim.config.duration_s if self.spec.end_s is None else self.spec.end_s
         return self.spec.start_s, end
+
+    def _schedule_at(self, when: float, action: Callable[..., None],
+                     *args: Any) -> None:
+        """Schedule one fault action at :data:`FAULT_PRIORITY`."""
+        assert self._sim is not None
+        self._sim.scheduler.schedule_at(when, action, *args,
+                                        priority=FAULT_PRIORITY)
 
     def _emit_inject(self, node: Optional[int], detail: str) -> None:
         self.injections += 1
@@ -184,8 +193,7 @@ class PermanentDeaths(FaultModel):
         victims = rng.sample(sensors, round(self.spec.intensity * len(sensors)))
         deaths = sorted((rng.uniform(start, end), nid) for nid in victims)
         for when, nid in deaths:
-            sim.scheduler.schedule_at(when, self._kill, nid,
-                                      priority=FAULT_PRIORITY)
+            self._schedule_at(when, self._kill, nid)
 
     def _kill(self, node_id: int) -> None:
         node = _sensor_by_id(self._sim, node_id)
@@ -221,10 +229,8 @@ class TransientOutages(FaultModel):
             downtime = rng.expovariate(1.0 / self.spec.mean_downtime_s)
             episodes.append((begin, downtime, nid))
         for begin, downtime, nid in sorted(episodes):
-            sim.scheduler.schedule_at(begin, self._down, nid,
-                                      priority=FAULT_PRIORITY)
-            sim.scheduler.schedule_at(begin + downtime, self._up, nid,
-                                      priority=FAULT_PRIORITY)
+            self._schedule_at(begin, self._down, nid)
+            self._schedule_at(begin + downtime, self._up, nid)
 
     def _down(self, node_id: int) -> None:
         node = _sensor_by_id(self._sim, node_id)
@@ -277,11 +283,9 @@ class RadioImpairment(FaultModel):
         sim.medium.bind_faults(self)
         # Window markers (scheduled regardless of telemetry so that the
         # event count — hence events_fired — never depends on the bus).
-        sim.scheduler.schedule_at(self._start, self._on_window_open,
-                                  priority=FAULT_PRIORITY)
+        self._schedule_at(self._start, self._on_window_open)
         if self._end <= sim.config.duration_s:
-            sim.scheduler.schedule_at(self._end, self._on_window_close,
-                                      priority=FAULT_PRIORITY)
+            self._schedule_at(self._end, self._on_window_close)
 
     def _on_window_open(self) -> None:
         self._emit_inject(None, "impairment_on")
@@ -336,10 +340,8 @@ class SinkOutage(FaultModel):
         sinks = [node.node_id for node in sim.sinks]
         victims = sorted(rng.sample(sinks, round(self.spec.intensity * len(sinks))))
         for nid in victims:
-            sim.scheduler.schedule_at(start, self._down, nid,
-                                      priority=FAULT_PRIORITY)
-            sim.scheduler.schedule_at(end, self._up, nid,
-                                      priority=FAULT_PRIORITY)
+            self._schedule_at(start, self._down, nid)
+            self._schedule_at(end, self._up, nid)
 
     def _down(self, node_id: int) -> None:
         _sink_by_id(self._sim, node_id).agent.fail(permanent=False)

@@ -8,7 +8,7 @@ invariant test (see docs/CHECKS.md).
 
 ``repro_modules`` imports every module of the package once per session,
 for the contract tests that hold over the whole tree (every ``__all__``
-resolves, every ``FaultModel`` subclass is visible to the lint).
+resolves, every ``FaultModel`` subclass keeps the fault contract).
 """
 
 import importlib
