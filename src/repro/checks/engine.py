@@ -27,7 +27,7 @@ from repro.checks.rules import RULES, RULES_BY_ID
 from repro.checks.rules.base import Finding, RuleContext
 
 #: Packages whose modules form the deterministic simulation core; the
-#: sim-only rules (DET002/DET003/SUB001/SCH001) apply only inside these.
+#: sim-only rules (DET002/DET003/SUB001) apply only inside these.
 #: ``scenario`` is enrolled because plan parsing, plan-driven mobility,
 #: and the preset registry all feed seeded runs: any nondeterminism
 #: there breaks byte-identical replay.  ``protocols`` is enrolled

@@ -10,19 +10,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, Tuple, Type
 
-from repro.checks.rules.base import (
-    FaultScopeRule,
-    Finding,
-    Rule,
-    RuleContext,
-)
+from repro.checks.rules.base import Finding, Rule, RuleContext
 from repro.checks.rules.determinism import Det001, Det002, Det003
 from repro.checks.rules.floats import Flt001
 from repro.checks.rules.mutables import Mut001
 from repro.checks.rules.registry import Reg001
-from repro.checks.rules.scheduling import Sch001
 from repro.checks.rules.substreams import Sub001
-from repro.checks.rules.telemetry import Obs001
 
 
 class Prg001(Rule):
@@ -47,8 +40,7 @@ class Prg001(Rule):
 
 #: Every rule, in reporting order (``--list-rules``, docs).
 RULES: Tuple[Type[Rule], ...] = (
-    Det001, Det002, Det003, Flt001, Mut001, Reg001, Sub001, Sch001, Obs001,
-    Prg001,
+    Det001, Det002, Det003, Flt001, Mut001, Reg001, Sub001, Prg001,
 )
 
 #: Rule id -> rule class, for pragma validation.
@@ -58,17 +50,14 @@ __all__ = [
     "Det001",
     "Det002",
     "Det003",
-    "FaultScopeRule",
     "Finding",
     "Flt001",
     "Mut001",
-    "Obs001",
     "Prg001",
     "RULES",
     "RULES_BY_ID",
     "Reg001",
     "Rule",
     "RuleContext",
-    "Sch001",
     "Sub001",
 ]

@@ -1,4 +1,4 @@
-"""Shared plumbing of the lint rules: findings and rule bases.
+"""Shared plumbing of the lint rules: findings and the rule base.
 
 Every rule is a :class:`Rule`, a per-module AST visitor: the engine
 runs one instance per linted module, with what it knows about that
@@ -8,7 +8,7 @@ module in a :class:`RuleContext` (see ``docs/CHECKS.md``).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
@@ -96,48 +96,3 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        return None if base is None else f"{base}.{node.attr}"
-    return None
-
-
-@dataclass
-class _ClassScope:
-    """One entry of a class-nesting stack kept by scope-aware rules."""
-
-    name: str
-    is_fault_model: bool = False
-    extra: List[str] = field(default_factory=list)
-
-
-class FaultScopeRule(Rule):
-    """A rule that needs to know when it is inside a ``FaultModel`` subclass.
-
-    Only a *direct* base literally named ``FaultModel`` is recognized;
-    ``tests/test_checks_rules.py`` asserts that every fault model in
-    ``repro`` names it so.
-    """
-
-    def __init__(self, context: Optional[RuleContext] = None) -> None:
-        super().__init__(context)
-        self._class_stack: List[_ClassScope] = []
-
-    def _bases_mark_fault_model(self, node: ast.ClassDef) -> bool:
-        return any(terminal_name(b) == "FaultModel" for b in node.bases)
-
-    def in_fault_model(self) -> bool:
-        """Whether the visitor currently sits inside a fault-model class."""
-        return any(scope.is_fault_model for scope in self._class_stack)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(
-            _ClassScope(node.name, self._bases_mark_fault_model(node)))
-        self.generic_visit(node)
-        self._class_stack.pop()

@@ -6,7 +6,7 @@ import ast
 from typing import Optional, Set
 
 from repro.checks.rules.base import (
-    FaultScopeRule,
+    Rule,
     RuleContext,
     attr_call,
     terminal_name,
@@ -17,29 +17,24 @@ from repro.checks.rules.base import (
 _FACTORY_MODULE = "repro.des.rng"
 
 
-def _stream_key_prefix(arg: ast.expr) -> Optional[str]:
-    """The static prefix of a stream-key expression, or None if dynamic.
+def _has_static_prefix(arg: ast.expr) -> bool:
+    """Whether a stream-key expression starts with a literal.
 
-    A plain string literal yields itself; an f-string whose first piece
-    is a literal yields that leading literal (``f"mac:{nid}"`` ->
-    ``"mac:"``).  Anything else — a bare variable, concatenation, a
-    wholly dynamic f-string — has no static prefix.
+    A plain string literal does, and so does an f-string whose first
+    piece is a literal (``f"mac:{nid}"``).  A bare variable,
+    concatenation or wholly dynamic f-string does not.
     """
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
     if isinstance(arg, ast.JoinedStr) and arg.values:
-        first = arg.values[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            return first.value
-    return None
+        arg = arg.values[0]
+    return isinstance(arg, ast.Constant) and isinstance(arg.value, str)
 
 
-class Sub001(FaultScopeRule):
+class Sub001(Rule):
     """SUB001: RNG-substream discipline in simulation code.
 
     Every stochastic component draws from its own named substream of
     :class:`repro.des.rng.RandomStreams`, so that one component's
-    randomness consumption never perturbs another's.  Three things break
+    randomness consumption never perturbs another's.  Two things break
     that contract and are flagged inside simulation modules:
 
     * constructing ``random.Random(...)`` / ``random.SystemRandom(...)``
@@ -47,11 +42,11 @@ class Sub001(FaultScopeRule):
       through a ``from random import Random`` alias;
     * calling ``streams.stream(key)`` with a *dynamic* key (a variable,
       concatenation, or f-string without a literal prefix): keys must be
-      statically module-bound so the substream map stays auditable;
-    * inside a ``FaultModel`` subclass, calling ``.stream(...)`` with a
-      key that does not start with ``"faults:"`` — fault models may only
-      draw from their own declared ``faults:<name>`` substream
-      (docs/FAULTS.md).
+      statically module-bound so the substream map stays auditable.
+
+    That a fault model draws only from its own ``faults:<name>``
+    substream is a runtime contract, held by
+    ``tests/test_fault_contract.py`` (docs/FAULTS.md).
     """
 
     rule_id = "SUB001"
@@ -101,22 +96,12 @@ class Sub001(FaultScopeRule):
         receiver = terminal_name(func.value)
         if receiver is None or "streams" not in receiver.lower():
             return
-        if not node.args:
-            return
-        prefix = _stream_key_prefix(node.args[0])
-        if prefix is None:
+        if node.args and not _has_static_prefix(node.args[0]):
             self.report(
                 node,
                 "dynamic RNG substream key; use a string literal or an "
                 "f-string with a literal 'name:' prefix so the substream "
                 "map stays auditable")
-            return
-        if self.in_fault_model() and not prefix.startswith("faults:"):
-            self.report(
-                node,
-                f"fault model draws from substream {prefix!r}; fault "
-                "models may only use their own 'faults:<name>' substream "
-                "(docs/FAULTS.md)")
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_rng_construction(node)

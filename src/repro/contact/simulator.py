@@ -396,10 +396,10 @@ class ContactSimulation:
             self._flush_arrivals(end)
             self._replayed_contacts += 1
             bus = self.bus
-            if bus is not None and bus.routes(ContactStart.topic):
+            if bus.routes(ContactStart.topic):
                 bus.emit(ContactStart(time=planned.start, a=planned.a,
                                       b=planned.b))
-            if bus is not None and bus.routes(ContactEnd.topic):
+            if bus.routes(ContactEnd.topic):
                 bus.emit(ContactEnd(time=end, a=planned.a, b=planned.b,
                                     started=planned.start))
             self._on_contact_end(planned.a, planned.b, planned.start, end,

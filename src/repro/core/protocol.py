@@ -878,7 +878,7 @@ class SinkAgent(MacAgent):
     def _start_cycle(self) -> None:  # pragma: no cover - sinks do not cycle
         self.state = AgentState.IDLE
 
-    def _end_cycle(self, transacted: bool) -> None:
+    def _end_cycle(self, transacted: bool, countable: bool = True) -> None:
         # A sink finishing a receive transaction just resumes listening.
         self._cancel_pending()
         self._rx_sender = None

@@ -11,12 +11,17 @@ multicast.
 Two documented weaknesses reproduce the paper's Fig. 2 behaviour:
 nodes whose mobility never takes them near a sink keep a zero success
 rate (traffic originating deep in the field has no gradient to follow),
-and — because the metric is a plain history with *no time decay*, unlike
-Eq. 1's xi — stale former couriers keep attracting custody long after
-their mobility changed.
+and — because :class:`ZbrAgent`'s metric is a plain history with *no
+time decay*, unlike Eq. 1's xi — stale former couriers keep attracting
+custody long after their mobility changed.
 
 Both simulation levels are implemented here: :class:`ZbrAgent` on the
 shared two-phase MAC, :class:`ZbrHistoryPolicy` at contact granularity.
+The two histories differ.  :class:`ZbrHistoryPolicy` keeps its history
+in a :class:`~repro.contact.policies.LazyXiEstimator` (gain 0.3, 60 s
+timeout), so between direct sink transfers it decays exactly as Eq. 1's
+xi does.  Making the levels agree is a rule change: it moves the seeded
+contact-level ``zbr`` results.
 """
 
 from __future__ import annotations
@@ -96,7 +101,12 @@ class ZbrAgent(MacAgent):
 
 
 class ZbrHistoryPolicy(ContactPolicy):
-    """ZebraNet: single-copy custody to strictly better sink history."""
+    """ZebraNet: single-copy custody to strictly better sink history.
+
+    Unlike :class:`ZbrAgent`'s, this history decays: it is an Eq. 1
+    estimator, stepped down by ``1 - alpha`` for every ``xi_timeout_s``
+    without a direct sink transfer.
+    """
 
     def __init__(self, node_id: int, capacity: int = 200, alpha: float = 0.3,
                  xi_timeout_s: float = 60.0, is_sink: bool = False) -> None:

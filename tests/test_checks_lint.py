@@ -7,6 +7,7 @@ acceptance criterion CI enforces via ``dftmsn lint src/repro``).
 """
 
 import pathlib
+import re
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestDet002:
     ])
     def test_layer_packages_are_sim_modules(self, path):
         # The layers the seeded event loop drives and measures get the
-        # sim-only rules (DET002/DET003/SUB001/SCH001) too.
+        # sim-only rules (DET002/DET003/SUB001) too.
         assert is_sim_module(path)
 
     def test_individually_enrolled_modules(self):
@@ -241,10 +242,14 @@ class TestModuleNames:
         assert module_name_for(lone) == "script"
 
 
+#: The rule roster, in reporting order.
+RULE_IDS = ["DET001", "DET002", "DET003", "FLT001", "MUT001", "REG001",
+            "SUB001", "PRG001"]
+
+
 class TestEngine:
     def test_every_rule_has_id_and_doc(self):
-        ids = [r.rule_id for r in RULES]
-        assert len(ids) == len(set(ids)) and all(ids)
+        assert [r.rule_id for r in RULES] == RULE_IDS
         assert all(r.__doc__ and r.rule_id in r.__doc__ for r in RULES)
         catalogue = describe_rules()
         assert all(r.rule_id in catalogue for r in RULES)
@@ -269,4 +274,7 @@ class TestEngine:
 
     def test_cli_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
-        assert "FLT001" in capsys.readouterr().out
+        # One "ID (scope)" header line per rule.
+        listed = re.findall(r"^([A-Z]{3}\d{3}) \(", capsys.readouterr().out,
+                            re.MULTILINE)
+        assert listed == RULE_IDS

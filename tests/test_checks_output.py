@@ -10,7 +10,7 @@ from repro.harness.cli import main as cli_main
 
 FINDINGS = [
     Finding("src/a.py", 3, 4, "DET001", "call to module-level random"),
-    Finding("src/b.py", 1, 0, "OBS001", "unguarded emit"),
+    Finding("src/b.py", 1, 0, "SUB001", "raw random.Random(...)"),
 ]
 
 
@@ -19,7 +19,7 @@ class TestFormats:
         text = format_text(FINDINGS)
         assert text.splitlines() == [
             "src/a.py:3:4: DET001 call to module-level random",
-            "src/b.py:1:0: OBS001 unguarded emit",
+            "src/b.py:1:0: SUB001 raw random.Random(...)",
         ]
 
     def test_json_shape(self):

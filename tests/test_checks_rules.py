@@ -1,4 +1,4 @@
-"""Fixture tests for the SUB, SCH, OBS and REG rule families.
+"""Fixture tests for the SUB and REG rule families.
 
 Every new rule gets a known-bad fixture proving it fires and a
 known-good fixture proving it stays quiet.
@@ -46,14 +46,6 @@ class TestSub001:
         """
         assert rules_of(src, sim_module=True) == ["SUB001"]
 
-    def test_wrong_prefix_in_fault_model_fires(self):
-        src = """
-            class Custom(FaultModel):
-                def arm(self, sim):
-                    rng = sim.streams.stream("mobility:zones")
-        """
-        assert rules_of(src, sim_module=True) == ["SUB001"]
-
     def test_declared_fault_substream_clean(self):
         src = '''
             class Custom(FaultModel):
@@ -68,172 +60,6 @@ class TestSub001:
                 rng = sim.streams.stream("mobility:zones")
         """
         assert rules_of(src, sim_module=True) == []
-
-
-def subclasses(cls):
-    """Every transitive subclass of ``cls``."""
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from subclasses(sub)
-
-
-def indirect_subclasses(base, prefix):
-    """Subclasses of ``base`` from modules under ``prefix`` that do not
-    name ``base`` among their direct bases."""
-    return [cls.__qualname__ for cls in subclasses(base)
-            if cls.__module__.startswith(prefix)
-            and base not in cls.__bases__]
-
-
-def test_every_fault_model_names_fault_model_as_direct_base(repro_modules):
-    # SUB001 and SCH001 recognise a fault model by a base literally named
-    # ``FaultModel``; a deeper subclass would escape both rules.
-    from repro.network.faults import FaultModel
-
-    assert [cls for cls in subclasses(FaultModel)
-            if cls.__module__.startswith("repro.")]
-    assert indirect_subclasses(FaultModel, "repro.") == []
-
-
-class DemoFault:
-    pass
-
-
-class Death(DemoFault):
-    pass
-
-
-class SlowDeath(Death):
-    pass
-
-
-class Thing:
-    pass
-
-
-def test_fault_model_subclasses_are_walked_transitively():
-    assert set(subclasses(DemoFault)) == {Death, SlowDeath}
-    assert set(subclasses(Death)) == {SlowDeath}
-    assert set(subclasses(Thing)) == set()
-
-
-def test_indirect_fault_model_subclass_is_reported():
-    assert indirect_subclasses(DemoFault, __name__) == ["SlowDeath"]
-
-
-class TestSch001:
-    def test_missing_priority_fires(self):
-        src = """
-            class Custom(FaultModel):
-                def arm(self, sim):
-                    sim.schedule(5.0, self._fire)
-        """
-        assert rules_of(src, sim_module=True) == ["SCH001"]
-
-    def test_wrong_priority_fires(self):
-        src = """
-            class Custom(FaultModel):
-                def arm(self, sim):
-                    sim.schedule(5.0, self._fire, priority=0)
-        """
-        assert rules_of(src, sim_module=True) == ["SCH001"]
-
-    def test_fault_priority_clean(self):
-        src = """
-            class Custom(FaultModel):
-                def arm(self, sim):
-                    sim.schedule(5.0, self._fire, priority=FAULT_PRIORITY)
-        """
-        assert rules_of(src, sim_module=True) == []
-
-    def test_scheduling_outside_fault_model_clean(self):
-        src = """
-            def pump(sim):
-                sim.schedule(5.0, tick)
-        """
-        assert rules_of(src, sim_module=True) == []
-
-
-class TestObs001:
-    def test_unguarded_emit_fires(self):
-        src = """
-            def f(self):
-                self._bus.emit("x", {})
-        """
-        assert rules_of(src) == ["OBS001"]
-
-    def test_wrapped_guard_clean(self):
-        src = """
-            def f(self):
-                bus = self._bus
-                if bus is not None:
-                    bus.emit("x", {})
-        """
-        assert rules_of(src) == []
-
-    def test_early_return_guard_clean(self):
-        src = """
-            def f(self, bus):
-                if bus is None:
-                    return
-                bus.emit("x", {})
-        """
-        assert rules_of(src) == []
-
-    def test_or_disjunct_early_return_clean(self):
-        src = """
-            def f(self, bus, phase):
-                if bus is None or phase is None:
-                    return
-                bus.emit("x", {})
-        """
-        assert rules_of(src) == []
-
-    def test_conjunction_guard_clean(self):
-        src = """
-            def f(self):
-                if self._bus is not None and self._sim is not None:
-                    self._bus.emit("x", {})
-        """
-        assert rules_of(src) == []
-
-    def test_guard_on_other_reference_fires(self):
-        src = """
-            def f(self, bus):
-                if self._bus is not None:
-                    bus.emit("x", {})
-        """
-        assert rules_of(src) == ["OBS001"]
-
-    def test_reassignment_invalidates_guard(self):
-        src = """
-            def f(self):
-                bus = self._bus
-                if bus is None:
-                    return
-                bus = self.other_bus()
-                bus.emit("x", {})
-        """
-        assert rules_of(src) == ["OBS001"]
-
-    def test_fresh_telemetry_bus_is_guarded(self):
-        src = """
-            def f(self):
-                bus = TelemetryBus()
-                bus.emit("x", {})
-        """
-        assert rules_of(src) == []
-
-    def test_nested_function_starts_unguarded(self):
-        src = """
-            def f(bus):
-                if bus is None:
-                    return
-                def later():
-                    bus.emit("x", {})
-                return later
-        """
-        assert rules_of(src) == ["OBS001"]
 
 
 class TestReg001:
